@@ -43,11 +43,12 @@ Seven rules (see docs/observability.md and docs/robustness.md):
    worker parked on its task pipe whose parent owns liveness) carries a
    ``lint-allow-blocking`` comment just above explaining why.
 7. No raw artifact writes — ``open(..., "w"/"wb"/"a"/...)``,
-   ``np.save``/``np.savez``/``np.savez_compressed``, and ``json.dump``
-   are forbidden everywhere in ``src/repro`` except
-   :mod:`repro.atomicio`, the one sanctioned writer.  A plain write can
-   be killed half-done and leave a visible, truncated artifact; the
-   atomic helper's tmp + ``os.replace`` discipline is what makes
+   ``np.save``/``np.savez``/``np.savez_compressed``, ``json.dump`` and
+   ``Path.write_text``/``write_bytes`` are forbidden everywhere in
+   ``src/repro`` except :mod:`repro.atomicio`, the one sanctioned
+   writer.  A plain write can be killed half-done and leave a visible,
+   truncated artifact; the atomic helper's tmp + ``os.replace``
+   discipline is what makes
    checkpoints, spools, caches, and store entries crash-safe, so every
    byte on disk must flow through it.  A site whose write is itself part
    of an atomic discipline (the helper's own tmp write, an in-memory
@@ -103,6 +104,9 @@ ALLOWED_RAW_WRITE = {TARGET / "atomicio.py"}
 
 #: ``np.*`` savers rule 7 rejects outside the atomic writer.
 NP_SAVE_NAMES = {"save", "savez", "savez_compressed"}
+
+#: ``pathlib.Path`` writers rule 7 rejects outside the atomic writer.
+PATH_WRITE_NAMES = {"write_text", "write_bytes"}
 
 
 def _is_hot_path(func: ast.AST) -> bool:
@@ -289,6 +293,8 @@ def _raw_write_violations(path: Path, tree: ast.AST, source_lines):
             and fn.value.id == "json"
         ):
             message = "raw json.dump()"
+        elif isinstance(fn, ast.Attribute) and fn.attr in PATH_WRITE_NAMES:
+            message = f"raw .{fn.attr}()"
         if message is not None and not marked(node.lineno):
             yield (
                 node.lineno,

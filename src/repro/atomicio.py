@@ -18,8 +18,8 @@ artifact store (:mod:`repro.store`) all share one write discipline:
   :func:`file_sha256` hashes whole files for cross-process validation.
 
 Telemetry lint rule 7 (``scripts/check_telemetry_lint.py``) forbids raw
-``open(..., "w"/"wb")`` / ``np.save*`` / ``json.dump`` writes elsewhere in
-``src/repro`` — durable bytes that bypass this module would reintroduce
+``open(..., "w"/"wb")`` / ``np.save*`` / ``json.dump`` /
+``Path.write_text``/``write_bytes`` writes elsewhere in ``src/repro`` — durable bytes that bypass this module would reintroduce
 exactly the torn-artifact window the store's crash-safety contract rules
 out.  The ``open(tmp, "wb")`` calls below are the one sanctioned site.
 """

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..atomicio import atomic_write_npz
+from ..atomicio import atomic_write_json, atomic_write_npz
 from ..core import (
     CLADO,
     SensitivityConfig,
@@ -232,4 +232,4 @@ class ExperimentContext:
         return None
 
     def save_result(self, name: str, payload: dict) -> None:
-        self.result_path(name).write_text(json.dumps(payload, indent=2))
+        atomic_write_json(self.result_path(name), payload)

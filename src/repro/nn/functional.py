@@ -1,9 +1,16 @@
 """Stateless numerical kernels shared by the layer classes.
 
-The convolution kernels use an im2col formulation: patches are gathered with
-``numpy.lib.stride_tricks.as_strided`` (zero-copy view) and the convolution
-itself becomes a single matmul, which is the only way to get acceptable CPU
-throughput for the ``O((|B|I)^2)`` forward sweeps CLADO performs.
+The convolution kernels use an im2col formulation: each sample's patches
+become the right-hand side of one BLAS GEMM per group.  The forwards never
+materialize the whole patch tensor.  :func:`_conv_gemm_tiled` gathers the
+sliding windows (a zero-copy ``as_strided`` view, over a reused zero-padded
+buffer when ``pad > 0``) of a few samples at a time into one patch buffer of
+about :data:`_TILE_BYTES`, small enough to stay in L2 between the copy and
+the GEMM that reads it, and multiplies into the preallocated output.  Every
+``(candidate, sample, group)`` GEMM sees the operands and shape the untiled
+gather gave it, so the outputs are bitwise those of :func:`im2col` followed
+by one stacked matmul.  Only :func:`conv2d_backward` still calls
+:func:`im2col`, rebuilding the patch tensor from the cached input.
 """
 
 from __future__ import annotations
@@ -27,14 +34,47 @@ __all__ = [
 ]
 
 
-def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+def _out_hw(
+    h: int, w: int, kh: int, kw: int, stride: int, pad: int
+) -> Tuple[int, int]:
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(
+            f"convolution output would be empty: input {h}x{w}, "
+            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
+        )
+    return oh, ow
+
+
+def _fold_slices(kn: int, width: int) -> int:
+    if kn % width:
+        raise ValueError(
+            f"folded batch {kn} not divisible by candidate count {width}"
+        )
+    return kn // width
+
+
+def _windows(
+    xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int
+) -> np.ndarray:
+    """Zero-copy ``(N, C, kh, kw, OH, OW)`` window view of padded ``xp``."""
+    s_n, s_c, s_h, s_w = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(xp.shape[0], xp.shape[1], kh, kw, oh, ow),
+        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
+        writeable=False,
+    )
 
 
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Gather sliding windows of ``x`` into a patch tensor.
+    """Gather sliding windows of ``x`` into a whole patch tensor.
+
+    The forwards gather tile by tile instead (:func:`_conv_gemm_tiled`);
+    :func:`conv2d_backward` uses this to rebuild the patches it needs.
 
     Parameters
     ----------
@@ -49,24 +89,11 @@ def im2col(
     (OH, OW):
         Spatial output size.
     """
-    n, c, h, w = x.shape
-    oh = _out_size(h, kh, stride, pad)
-    ow = _out_size(w, kw, stride, pad)
-    if oh <= 0 or ow <= 0:
-        raise ValueError(
-            f"convolution output would be empty: input {h}x{w}, "
-            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
-        )
+    _, _, h, w = x.shape
+    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows), (oh, ow)
+    return np.ascontiguousarray(_windows(x, kh, kw, oh, ow, stride)), (oh, ow)
 
 
 def col2im(
@@ -93,6 +120,68 @@ def col2im(
     return dx_pad
 
 
+#: Patch-buffer size of :func:`_conv_gemm_tiled`: the samples of one tile
+#: are gathered and multiplied while their patches are still in L2.
+_TILE_BYTES = 512 * 1024
+
+
+def _conv_gemm_tiled(
+    x: np.ndarray,
+    w_g: np.ndarray,
+    bias: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """Grouped convolution of ``K`` candidates, one sample tile at a time.
+
+    ``x`` is ``(K*N, C_in, H, W)`` folded candidate-major and ``w_g`` is
+    ``(K, G, O, P)`` with ``P = C_in/G * kh * kw``: candidate ``k``
+    convolves ``x[k*N:(k+1)*N]``.  A tile never spans two candidates, and
+    each one runs the ``(G,O,P) @ (t,G,P,L)`` matmul on the contiguous
+    patches of its ``t`` samples, so every per-``(sample, group)`` GEMM is
+    the one the untiled im2col gave BLAS.  Returns ``(K*N, C_out, OH, OW)``.
+    """
+    kn, c_in, h, w = x.shape
+    k, groups, o_g, p = w_g.shape
+    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    n = kn // k
+    out = np.empty((kn, groups, o_g, oh * ow), dtype=np.result_type(x, w_g))
+    tile = max(1, min(n, _TILE_BYTES // (c_in * kh * kw * oh * ow * x.itemsize)))
+    cols = np.empty((tile, groups, p, oh * ow), dtype=x.dtype)
+    patches = cols.reshape(tile, c_in, kh, kw, oh, ow)
+    if pad:
+        # Borders are zeroed once; each tile only overwrites the interior.
+        padded = np.zeros((tile, c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        interior = padded[:, :, pad : pad + h, pad : pad + w]
+        windows = _windows(padded, kh, kw, oh, ow, stride)
+    else:
+        windows = _windows(x, kh, kw, oh, ow, stride)
+    for ki in range(k):
+        for start in range(ki * n, (ki + 1) * n, tile):
+            stop = min(start + tile, (ki + 1) * n)
+            t = stop - start
+            if pad:
+                interior[:t] = x[start:stop]
+                patches[:t] = windows[:t]
+            else:
+                patches[:t] = windows[start:stop]
+            np.matmul(w_g[ki], cols[:t], out=out[start:stop])
+    out = out.reshape(kn, groups * o_g, oh, ow)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def _check_groups(c_in: int, w_shape: Tuple[int, ...], groups: int) -> None:
+    if c_in != w_shape[-3] * groups:
+        raise ValueError(
+            f"input channels {c_in} incompatible with weight "
+            f"{w_shape} and groups={groups}"
+        )
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -116,26 +205,13 @@ def conv2d_forward(
     -------
     out, cache:
         ``out`` has shape ``(N, C_out, OH, OW)``; ``cache`` carries what the
-        backward pass needs.
+        backward pass needs: the input itself, not its patch tensor.
     """
-    n, c_in, _, _ = x.shape
+    _check_groups(x.shape[1], weight.shape, groups)
     c_out, c_in_g, kh, kw = weight.shape
-    if c_in != c_in_g * groups:
-        raise ValueError(
-            f"input channels {c_in} incompatible with weight "
-            f"{weight.shape} and groups={groups}"
-        )
-    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
-    # (N, G, C_in/G * kh * kw, OH*OW)
-    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
-    w_g = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-    # Batched matmul over the patch dimension: (G,O,P) @ (N,G,P,L) -> (N,G,O,L).
-    # (matmul dispatches to BLAS; ~3x faster than the equivalent einsum here.)
-    out = np.matmul(w_g, cols_g)
-    out = out.reshape(n, c_out, oh, ow)
-    if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
-    cache = (x.shape, cols_g, weight.shape, stride, pad, groups, (oh, ow))
+    w_g = weight.reshape(1, groups, c_out // groups, c_in_g * kh * kw)
+    out = _conv_gemm_tiled(x, w_g, bias, kh, kw, stride, pad)
+    cache = (x, weight.shape, stride, pad, groups)
     return out, cache
 
 
@@ -144,11 +220,14 @@ def conv2d_backward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the grouped convolution.
 
-    Returns ``(dx, dweight, dbias)``.
+    Returns ``(dx, dweight, dbias)``.  The patch tensor is rebuilt from the
+    cached input with :func:`im2col`.
     """
-    x_shape, cols_g, w_shape, stride, pad, groups, (oh, ow) = cache
-    n, c_in, _, _ = x_shape
+    x, w_shape, stride, pad, groups = cache
+    n, c_in, _, _ = x.shape
     c_out, c_in_g, kh, kw = w_shape
+    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
+    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
     go = grad_out.reshape(n, groups, c_out // groups, oh * ow)
     w_g = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
     # dW: sum over batch and spatial positions, via batched matmul.
@@ -158,7 +237,7 @@ def conv2d_backward(
     # dcols: (G,P,O) @ (N,G,O,L) -> (N,G,P,L), back through im2col.
     dcols_g = np.matmul(w_g.swapaxes(-1, -2), go)
     dcols = dcols_g.reshape(n, c_in, kh, kw, oh, ow)
-    dx = col2im(dcols, x_shape, stride, pad)
+    dx = col2im(dcols, x.shape, stride, pad)
     return dx, dw, dbias
 
 
@@ -177,11 +256,7 @@ def linear_forward_batched(
     """
     k = weights.shape[0]
     kn = x.shape[0]
-    if kn % k:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {k}"
-        )
-    n = kn // k
+    n = _fold_slices(kn, k)
     xk = x.reshape(k, n, *x.shape[1:])
     # (K, out, in) -> (K, 1..., in, out) broadcasting over the middle dims.
     w_t = weights.swapaxes(-1, -2)
@@ -203,31 +278,16 @@ def conv2d_forward_batched(
     """Grouped convolution under ``K`` stacked weight candidates.
 
     ``x`` is folded candidate-major, shape ``(K*N, C_in, H, W)``; ``weights``
-    has shape ``(K, C_out, C_in // groups, kh, kw)``.  Patches are gathered
-    once for all candidates (im2col is per-sample), then a single stacked
-    matmul evaluates every ``(candidate, sample, group)`` GEMM — each
-    bitwise identical to the sequential :func:`conv2d_forward` slice.
+    has shape ``(K, C_out, C_in // groups, kh, kw)``.  Candidate ``k``'s
+    samples go through the same tiled gather and per-``(sample, group)``
+    GEMMs as a sequential :func:`conv2d_forward` with ``weights[k]``, so
+    each slice is bitwise identical to it.
     """
     k, c_out, c_in_g, kh, kw = weights.shape
-    kn, c_in, _, _ = x.shape
-    if kn % k:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {k}"
-        )
-    if c_in != c_in_g * groups:
-        raise ValueError(
-            f"input channels {c_in} incompatible with weights "
-            f"{weights.shape} and groups={groups}"
-        )
-    n = kn // k
-    cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
-    cols_g = cols.reshape(k, n, groups, c_in_g * kh * kw, oh * ow)
-    w_g = weights.reshape(k, 1, groups, c_out // groups, c_in_g * kh * kw)
-    # (K,1,G,O,P) @ (K,N,G,P,L) -> (K,N,G,O,L); BLAS per (k,n,g) slice.
-    out = np.matmul(w_g, cols_g).reshape(kn, c_out, oh, ow)
-    if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
-    return out
+    _fold_slices(x.shape[0], k)
+    _check_groups(x.shape[1], weights.shape, groups)
+    w_g = weights.reshape(k, groups, c_out // groups, c_in_g * kh * kw)
+    return _conv_gemm_tiled(x, w_g, bias, kh, kw, stride, pad)
 
 
 class BatchedWeightOverlay:
@@ -270,14 +330,6 @@ class BatchedWeightOverlay:
         for k, w in self.rows.items():
             stack[k] = w
         return stack
-
-
-def _fold_slices(kn: int, width: int) -> int:
-    if kn % width:
-        raise ValueError(
-            f"folded batch {kn} not divisible by candidate count {width}"
-        )
-    return kn // width
 
 
 def linear_forward_overlay(

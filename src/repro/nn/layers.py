@@ -199,11 +199,14 @@ class BatchNorm2d(Module, _CacheMixin):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        # Same float ops in the same order as ``gamma * ((x - mean) * inv_std)
+        # + beta``, in place: two temporaries instead of four.
+        x_hat = x - mean.reshape(1, -1, 1, 1)
+        x_hat *= inv_std.reshape(1, -1, 1, 1)
         self._cache = (x_hat, inv_std, self.training)
-        return self.weight.data.reshape(1, -1, 1, 1) * x_hat + self.bias.data.reshape(
-            1, -1, 1, 1
-        )
+        out = self.weight.data.reshape(1, -1, 1, 1) * x_hat
+        out += self.bias.data.reshape(1, -1, 1, 1)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std, was_training = self._take_cache()

@@ -164,9 +164,10 @@ class Run:
         doc = self.document()
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         path = self.manifest_dir / f"{self.run_id}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-        os.replace(tmp, path)
+        # Imported here: repro.atomicio itself imports repro.telemetry.
+        from ..atomicio import atomic_write_bytes
+
+        atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode())
         self.path = path
         self._finished = True
         if not self._was_enabled:

@@ -98,13 +98,23 @@ def format_manifest(doc: dict, max_counter_rows: Optional[int] = None) -> str:
     lines.append("")
     if isinstance(children, (list, tuple)) and children:
         lines.append(f"spans{'':<41}{'count':>8}{'total':>11}  share")
-        total_s = sum(
+        spanned_s = sum(
             _as_float(c.get("total_s", 0.0))
             for c in children
             if isinstance(c, dict)
         )
+        # Shares are of the run's duration; the time no top-level span
+        # covers gets its own row instead of inflating every share.
+        duration_s = _as_float(doc.get("duration_s", 0.0))
+        total_s = duration_s if duration_s > 0 else spanned_s
         for child in children:
             _format_span(child, 0, lines, total_s)
+        if duration_s > 0:
+            rest_s = max(0.0, duration_s - spanned_s)
+            lines.append(
+                f"  {'(unattributed)':<44}{'':>8}{rest_s:>10.3f}s  "
+                f"{rest_s / duration_s:>5.0%}"
+            )
     else:
         lines.append("spans")
         lines.append(_EMPTY)

@@ -259,6 +259,27 @@ class TestRunManifest:
         for fragment in ("pretty", "test.render", "work", "score"):
             assert fragment in text
 
+    def test_span_shares_are_of_the_duration(self):
+        """Spans covering half the run print half, plus an unattributed row."""
+        doc = {
+            "duration_s": 10.0,
+            "spans": {
+                "name": "root",
+                "children": [
+                    {"name": "prepare", "count": 1, "total_s": 3.0},
+                    {"name": "solve", "count": 2, "total_s": 2.0},
+                ],
+            },
+        }
+        rows = {
+            line.split()[0]: line.split()
+            for line in telemetry.format_manifest(doc).splitlines()
+            if line.startswith("  ")
+        }
+        assert rows["prepare"][-1] == "30%"
+        assert rows["solve"][-1] == "20%"
+        assert rows["(unattributed)"][-2:] == ["5.000s", "50%"]
+
 
 class TestSweepEvalAccounting:
     """Property: measured forward evals match the paper's closed form."""
