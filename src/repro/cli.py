@@ -71,9 +71,7 @@ def _allocate_body(args, run) -> int:
     from .quant import bops_table, bytes_to_mb, measure_macs
 
     dataset = make_dataset()
-    model, _ = get_pretrained(args.model, dataset, verbose=True)
     config = model_quant_config(args.model)
-    x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
     degraded_exit = 0  # flips to 3 when the allocation came from a fallback rung
 
     model_spec = None
@@ -103,6 +101,10 @@ def _allocate_body(args, run) -> int:
         spool_dir=args.spool,
         model_spec=model_spec,
     )
+    # Loaded only once the config validated: a rejected knob combination
+    # must not first cost a (possibly retrained) model load.
+    model, _ = get_pretrained(args.model, dataset, verbose=True)
+    x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
     ctx = ExperimentContext()
     algo = ctx.make_algorithm(
         args.algorithm, args.model, model=model, config=config,

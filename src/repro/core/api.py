@@ -8,7 +8,8 @@ algorithms.  This module is the single vocabulary both speak:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
   (sweep execution strategy, worker fan-out, cache budget, checkpoint
-  resume, Hutchinson probes...);
+  resume, Hutchinson probes...).  It is defined next to the engine it
+  configures, in :mod:`repro.core.sensitivity`, and re-exported here;
 - :class:`SolverConfig` — every allocation-phase knob (method, time
   limit, node cap, PSD assumption);
 - :class:`AllocationResult` — what ``allocate`` returns: the concrete
@@ -25,12 +26,11 @@ is the typed failure for budgets below the all-minimum-bits size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from ..robustness.faults import FaultPlan
 from ..solvers.problem import InfeasibleBudgetError
-from .sensitivity import DEFAULT_CACHE_BUDGET, DEFAULT_MAX_RETRIES
+from .sensitivity import SensitivityConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .clado import MPQAlgorithm, MPQAssignment
@@ -44,81 +44,6 @@ __all__ = [
     "algorithm_specs",
     "build_algorithm",
 ]
-
-
-@dataclass(frozen=True)
-class SensitivityConfig:
-    """Typed knobs for the measurement phase (``prepare``).
-
-    One config serves every algorithm; each reads the fields that apply
-    to it (CLADO the sweep-execution block, HAWQ ``probes``/``seed``,
-    MPQCO ``batch_size``) and ignores the rest, so callers can build one
-    config per experiment and hand it to every algorithm uniformly.
-    """
-
-    # Shared
-    batch_size: int = 256
-    # CLADO sweep execution (see SensitivityEngine)
-    strategy: str = "auto"  # "auto" | "naive" | "segmented"
-    num_workers: int = 1  # 0 = all cores
-    cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET  # None = unbounded
-    checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 32
-    symmetric_diag: bool = False
-    eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
-    # Fault tolerance (see docs/robustness.md)
-    cache_bytes: Optional[int] = None  # prefix-cache byte cap; None = off
-    group_deadline: Optional[float] = None  # seconds per group on a worker
-    max_retries: int = DEFAULT_MAX_RETRIES
-    fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
-    # Measurement integrity (see docs/robustness.md)
-    health: str = "off"  # "off" | "warn" | "strict"
-    health_rounds: int = 2  # quarantine re-measure rounds
-    health_repair: bool = True  # structural repair ladder after quarantine
-    # Sharded execution (see docs/distrib.md); 0/1 shards = single process
-    shards: int = 0
-    lease_ttl: Optional[float] = None  # None = DEFAULT_LEASE_TTL
-    spool_dir: Optional[str] = None  # None = private temp spool
-    model_spec: Optional[dict] = None  # worker-side model builder spec
-    # HAWQ (Hutchinson trace estimation)
-    probes: int = 8
-    seed: int = 0
-
-    def engine_kwargs(self) -> dict:
-        """Keyword arguments for ``SensitivityEngine.measure``.
-
-        ``health_repair`` is not an engine knob — the repair ladder runs
-        in ``CLADO._prepare`` on the assembled matrix — so only the
-        detection/quarantine fields are forwarded here.
-        """
-        return {
-            "batch_size": self.batch_size,
-            "strategy": self.strategy,
-            "num_workers": self.num_workers,
-            "cache_budget": self.cache_budget,
-            "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.checkpoint_every,
-            "symmetric_diag": self.symmetric_diag,
-            "eval_batch_k": self.eval_batch_k,
-            "cache_bytes": self.cache_bytes,
-            "group_deadline": self.group_deadline,
-            "max_retries": self.max_retries,
-            "fault_plan": self.fault_plan,
-            "health": self.health,
-            "health_rounds": self.health_rounds,
-            "shards": self.shards,
-            "lease_ttl": self.lease_ttl,
-            "spool_dir": self.spool_dir,
-            "model_spec": self.model_spec,
-        }
-
-    def with_overrides(self, **overrides) -> "SensitivityConfig":
-        """A copy with the given fields replaced (unknown names rejected)."""
-        return replace(self, **overrides)
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)

@@ -288,8 +288,8 @@ class CLADO(MPQAlgorithm):
     def _prepare(
         self, x: np.ndarray, y: np.ndarray, config: SensitivityConfig
     ) -> None:
-        engine = SensitivityEngine(self.model, self.table, self.criterion)
-        self.raw = engine.measure(x, y, mode=self.mode, **config.engine_kwargs())
+        engine = SensitivityEngine(self.model, self.table, self.criterion, config)
+        self.raw = engine.measure(x, y, mode=self.mode)
         self._repair_and_project(
             self.raw,
             HealthPolicy(

@@ -42,7 +42,7 @@ import hashlib
 import multiprocessing as mp
 import os
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,9 +75,10 @@ from .sweep import (
 )
 
 __all__ = [
+    "SensitivityConfig",
     "SensitivityResult",
     "SensitivityEngine",
-    "ShardSession",
+    "SweepRun",
     "block_id_from_name",
     "build_pair_list",
     "assemble_from_losses",
@@ -147,6 +148,15 @@ _GROUP_RETRIES = telemetry.counter("sweep.group_retries")
 _DEADLINE_KILLS = telemetry.counter("sweep.deadline_kills")
 #: Groups the pool could not finish that degraded to serial execution.
 _SERIAL_FALLBACK = telemetry.counter("sweep.serial_fallback_groups")
+
+#: One executed plan group: ``(plan_index, loss)`` pairs, the
+#: segment-forwards it spent, and its chunk statistics.
+GroupResult = Tuple[List[Tuple[int, float]], int, Dict[str, int]]
+
+_NO_SEGMENTS = (
+    "segmented strategy requested but the model does not expose forward "
+    "segments covering every searched layer"
+)
 
 
 @dataclass
@@ -224,6 +234,123 @@ def auto_waste_factor(x: np.ndarray, batch_size: int) -> float:
     if rows * sample_floats <= _DISPATCH_BOUND_FLOATS:
         return _WASTE_FACTOR_DISPATCH
     return _WASTE_FACTOR_COMPUTE
+
+
+@dataclass(frozen=True)
+class SensitivityConfig:
+    """Typed knobs for the measurement phase (``prepare``).
+
+    One config serves every algorithm; each reads the fields that apply
+    to it (CLADO the sweep-execution block, HAWQ ``probes``/``seed``,
+    MPQCO ``batch_size``) and ignores the rest, so callers can build one
+    config per experiment and hand it to every algorithm uniformly.
+
+    The sweep-execution fields are the only knobs of
+    :class:`SensitivityEngine`.  ``strategy`` is ``"auto"`` (segmented
+    when the model exposes segments), ``"naive"`` (one full forward per
+    evaluation, the reference oracle) or ``"segmented"`` (raise if the
+    model cannot).  ``eval_batch_k`` caps the candidates stacked per
+    segment replay (``1`` = sequential, ``0`` = memory-aware auto);
+    matrices agree across settings within the sweep-equivalence
+    tolerance.  ``cache_budget`` / ``cache_bytes`` bound each prefix cache
+    by checkpoints / bytes (evaluations past an evicted cut recompute
+    from an earlier one).  ``group_deadline`` and ``max_retries`` bound
+    supervised-worker recovery, and ``checkpoint_path`` makes a sweep
+    resumable.  ``symmetric_diag`` is an extension beyond the paper: it
+    measures the layer-specific terms with the symmetric second
+    difference ``L(w+Δ) + L(w-Δ) - 2L(w)`` instead of Eq. 12's one-sided
+    ``2(L(w+Δ) - L(w))``, cancelling odd-order Taylor terms for ``|B|I``
+    extra evaluations.  ``health`` other than ``"off"`` diagnoses the
+    assembled matrix and, on the segmented path, re-measures flagged
+    entries for up to ``health_rounds`` rounds; the warn/strict gate is
+    enforced by ``CLADO._prepare``.  Every field is validated here, once,
+    at construction.
+    """
+
+    # Shared
+    batch_size: int = 256
+    # CLADO sweep execution (see SensitivityEngine)
+    strategy: str = "auto"  # "auto" | "naive" | "segmented"
+    num_workers: int = 1  # 0 = all cores
+    cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET  # None = unbounded
+    checkpoint_path: Optional[str] = None
+    checkpoint_every: int = 32
+    symmetric_diag: bool = False
+    eval_batch_k: int = 0  # candidate configs per stacked replay; 0 = auto
+    # Fault tolerance (see docs/robustness.md)
+    cache_bytes: Optional[int] = None  # prefix-cache byte cap; None = off
+    group_deadline: Optional[float] = None  # seconds per group on a worker
+    max_retries: int = DEFAULT_MAX_RETRIES
+    fault_plan: Optional[FaultPlan] = None  # chaos-test injection schedule
+    # Measurement integrity (see docs/robustness.md)
+    health: str = "off"  # "off" | "warn" | "strict"
+    health_rounds: int = 2  # quarantine re-measure rounds
+    health_repair: bool = True  # structural repair ladder after quarantine
+    # Sharded execution (see docs/distrib.md); 0/1 shards = single process
+    shards: int = 0
+    lease_ttl: Optional[float] = None  # None = DEFAULT_LEASE_TTL
+    spool_dir: Optional[str] = None  # None = private temp spool
+    model_spec: Optional[dict] = None  # worker-side model builder spec
+    # HAWQ (Hutchinson trace estimation)
+    probes: int = 8
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.strategy not in ("auto", "naive", "segmented"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.health not in ("off", "warn", "strict"):
+            raise ValueError(f"unknown health mode {self.health!r}")
+        for name in ("eval_batch_k", "max_retries", "health_rounds"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.shards > 1:
+            for name in ("checkpoint_path", "group_deadline"):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"shards > 1 cannot be combined with {name}: a "
+                        "sharded sweep recovers lost work by re-issuing "
+                        "leases, and has neither a resume checkpoint nor a "
+                        "per-group deadline"
+                    )
+
+    def with_overrides(self, **overrides) -> "SensitivityConfig":
+        """A copy with the given fields replaced (unknown names rejected)."""
+        return replace(self, **overrides)
+
+    def resolved(self, x: np.ndarray) -> "SensitivityConfig":
+        """This config with its host- and data-dependent defaults made concrete.
+
+        ``num_workers=0`` becomes the core count (and any fan-out becomes
+        1 where ``fork`` is unavailable), ``eval_batch_k=0`` the
+        memory-aware width for ``x`` (:func:`auto_eval_batch_k`), an unset
+        ``fault_plan`` the ``REPRO_FAULT_PLAN`` environment plan, and an
+        unset ``lease_ttl`` :data:`DEFAULT_LEASE_TTL`.
+        """
+        workers = self.num_workers or os.cpu_count() or 1
+        if workers > 1 and "fork" not in mp.get_all_start_methods():
+            workers = 1  # no COW sharing available (e.g. Windows): run serial
+        return self.with_overrides(
+            num_workers=max(1, workers),
+            eval_batch_k=self.eval_batch_k or auto_eval_batch_k(x, self.batch_size),
+            fault_plan=resolve_fault_plan(self.fault_plan),
+            lease_ttl=DEFAULT_LEASE_TTL if self.lease_ttl is None else self.lease_ttl,
+        )
+
+    @classmethod
+    def field_names(cls) -> Tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+
+def _check_finite(loss: float) -> float:
+    if not np.isfinite(loss):
+        # A single non-finite measurement silently poisons the whole
+        # sensitivity matrix; fail loudly at the source instead.
+        raise RuntimeError(
+            "non-finite loss during sensitivity measurement "
+            "(model diverged or inputs are corrupt)"
+        )
+    return loss
 
 
 def block_id_from_name(name: str) -> str:
@@ -333,11 +460,12 @@ def assemble_from_losses(
     return matrix, single
 
 
-# Worker state for fork-based fan-out: set in the parent immediately before
-# the workers are forked, inherited copy-on-write by each child.  The
+# Fork fan-out state: the sweep run, set in the parent immediately before
+# the workers are forked and inherited copy-on-write by each child.  The
 # quantized-weight table and prefix-cache arrays are shared pages; each
-# worker's weight swaps and forward caches stay process-local.
-_FORK_STATE: Optional[Tuple["SensitivityEngine", EvalPlan, PrefixCache, list, int]] = None
+# worker's weight swaps, forward caches and fault-attempt counter stay
+# process-local.
+_FORK_STATE: Optional["SweepRun"] = None
 
 
 def _supervised_worker_loop(conn) -> None:
@@ -351,7 +479,7 @@ def _supervised_worker_loop(conn) -> None:
     the dead pipe and re-queues the in-flight group.
     """
     _faults.mark_worker()
-    engine, plan, clean, batches, n = _FORK_STATE
+    run = _FORK_STATE
     pid = os.getpid()
     while True:
         try:
@@ -363,13 +491,13 @@ def _supervised_worker_loop(conn) -> None:
         if task is None:
             return
         group_idx, attempt = task
-        engine._fault_attempt = attempt
+        run.attempt = attempt
         # The forked child inherited the parent's collector; capture only
         # what this task records and ship the delta home with the result.
         capture = telemetry.fork_capture()
         try:
             with capture:
-                result = engine._execute_group(plan, group_idx, clean, batches, n)
+                result = run.engine._execute_group(run, group_idx)
             reply = ("ok", group_idx, result, pid, capture.delta)
         except BaseException as exc:  # report, stay alive for the next task
             reply = (
@@ -397,56 +525,16 @@ class _SupervisedWorker:
         self.started: float = 0.0  # when the in-flight group was dispatched
 
 
-def _merge_chunk_stats(agg: Dict[str, int], stats: Optional[Dict[str, int]]) -> None:
-    if not stats:
-        return
-    agg["evals"] += stats["evals"]
-    agg["chunks"] += stats["chunks"]
-    agg["width_max"] = max(agg["width_max"], stats["width_max"])
-    agg["extra_flops"] += stats["extra_flops"]
-
-
 class SensitivityEngine:
     """Runs Algorithm 1 against a model and a quantized-weight table.
 
-    Parameters
-    ----------
-    strategy:
-        ``"auto"`` (segmented when the model supports it), ``"naive"``
-        (full forward per evaluation), or ``"segmented"`` (require the
-        prefix-cached path; raises if the model exposes no segments).
-    num_workers:
-        Fork-based worker processes for the segmented path.  ``0`` means
-        ``os.cpu_count()``; ``1`` (default) runs in-process.  Falls back
-        to serial where ``fork`` is unavailable.
-    cache_budget:
-        Maximum activation checkpoints per prefix cache (memory bound);
-        evaluations starting past an evicted cut recompute from the
-        nearest earlier checkpoint.
-    eval_batch_k:
-        Candidate configurations stacked per segment replay on the
-        segmented path.  ``1`` runs every evaluation as its own replay
-        (the sequential engine); ``> 1`` caps the stack width; ``0``
-        (default) picks a memory-aware width from the mini-batch
-        footprint.  Measured matrices are equal across all settings
-        within the sweep-equivalence tolerance.
-    cache_bytes:
-        Byte budget per prefix cache.  When set, cold activation
-        checkpoints are LRU-evicted (per-batch anchors are pinned) and
-        evaluations past an evicted cut recompute from the nearest
-        earlier checkpoint — long sweeps on wide models degrade to
-        recompute instead of OOM-killing workers.
-    group_deadline:
-        Wall-clock seconds one plan group may run on a supervised
-        worker before the worker is killed and the group re-queued.
-        ``None`` (default) disables the deadline.
-    max_retries:
-        Times a failed group is re-queued (onto surviving workers,
-        finally serially in the parent) before the sweep raises
-        :class:`repro.robustness.SweepFailure`.
-    fault_plan:
-        Deterministic fault-injection schedule (chaos testing); also
-        settable via the ``REPRO_FAULT_PLAN`` environment variable.
+    Every execution knob is a field of one :class:`SensitivityConfig`,
+    ``self.config``: ``config`` seeds it and keyword ``overrides`` replace
+    fields (``SensitivityEngine(model, table, strategy="naive")``).
+    :meth:`measure` takes the same overrides per call.  The engine keeps
+    no per-sweep state — each segmented sweep opens its own
+    :class:`SweepRun` — so calls and runs sharing one engine never
+    interfere.
     """
 
     def __init__(
@@ -454,56 +542,13 @@ class SensitivityEngine:
         model,
         table: QuantizedWeightTable,
         criterion: Optional[CrossEntropyLoss] = None,
-        *,
-        strategy: str = "auto",
-        num_workers: int = 1,
-        cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 32,
-        eval_batch_k: int = 0,
-        cache_bytes: Optional[int] = None,
-        group_deadline: Optional[float] = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        fault_plan: Optional[FaultPlan] = None,
-        health: str = "off",
-        health_rounds: int = 2,
-        health_policy: Optional[HealthPolicy] = None,
+        config: Optional[SensitivityConfig] = None,
+        **overrides,
     ) -> None:
-        if strategy not in ("auto", "naive", "segmented"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if eval_batch_k < 0:
-            raise ValueError(f"eval_batch_k must be >= 0, got {eval_batch_k}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if health not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown health mode {health!r}")
-        if health_rounds < 0:
-            raise ValueError(f"health_rounds must be >= 0, got {health_rounds}")
         self.model = model
         self.table = table
         self.criterion = criterion or CrossEntropyLoss()
-        self.strategy = strategy
-        self.num_workers = num_workers
-        self.cache_budget = cache_budget
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.eval_batch_k = eval_batch_k
-        self.cache_bytes = cache_bytes
-        self.group_deadline = group_deadline
-        self.max_retries = max_retries
-        self.fault_plan = fault_plan
-        self.health = health
-        self.health_rounds = health_rounds
-        self.health_policy = health_policy
-        self._segments: Optional[list] = None
-        self._layer_segments: Optional[Tuple[int, ...]] = None
-        self._active_cache_budget: Optional[int] = cache_budget
-        self._active_cache_bytes: Optional[int] = cache_bytes
-        self._active_eval_batch_k: int = 1
-        self._active_waste_factor: float = _WASTE_FACTOR_DISPATCH
-        self._active_fault_plan: Optional[FaultPlan] = None
-        self._fault_attempt: int = 0
-        self._poison_next_loss: bool = False
+        self.config = (config or SensitivityConfig()).with_overrides(**overrides)
 
     # -- loss of the current weight configuration ------------------------------
     def _loss(self, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
@@ -515,23 +560,7 @@ class SensitivityEngine:
             yb = y[start : start + batch_size]
             total += self.criterion.forward(self.model.forward(xb), yb) * len(xb)
         _FORWARD_EVALS.add()
-        return self._check_finite(total / n)
-
-    def _check_finite(self, loss: float) -> float:
-        if self._poison_next_loss:
-            # Armed by a FaultPlan ``nonfinite_loss`` fault: the very next
-            # measured loss comes out NaN, exercising the identical failure
-            # path a diverged model would.
-            self._poison_next_loss = False
-            loss = float("nan")
-        if not np.isfinite(loss):
-            # A single non-finite measurement silently poisons the whole
-            # sensitivity matrix; fail loudly at the source instead.
-            raise RuntimeError(
-                "non-finite loss during sensitivity measurement "
-                "(model diverged or inputs are corrupt)"
-            )
-        return loss
+        return _check_finite(total / n)
 
     # -- segmented-forward support ---------------------------------------------
     def _segment_map(self) -> Optional[Tuple[list, Tuple[int, ...]]]:
@@ -553,41 +582,15 @@ class SensitivityEngine:
             layer_segments.append(k)
         return list(segments), tuple(layer_segments)
 
-    def _resolve_strategy(self, strategy: Optional[str]) -> str:
-        strategy = strategy or self.strategy
-        if strategy not in ("auto", "naive", "segmented"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def _segmented(self, strategy: str) -> bool:
+        """Whether ``strategy`` runs the segmented path on this model."""
         if strategy == "naive":
-            return "naive"
-        mapping = self._segment_map()
-        if mapping is None:
-            if strategy == "segmented":
-                raise RuntimeError(
-                    "segmented strategy requested but the model does not "
-                    "expose forward segments covering every searched layer"
-                )
-            return "naive"
-        self._segments, self._layer_segments = mapping
-        return "segmented"
-
-    def _resolve_workers(self, num_workers: Optional[int]) -> int:
-        workers = self.num_workers if num_workers is None else num_workers
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        if workers > 1 and "fork" not in mp.get_all_start_methods():
-            workers = 1  # no COW sharing available (e.g. Windows): run serial
-        return max(1, workers)
-
-    def _resolve_eval_batch_k(
-        self, eval_batch_k: Optional[int], x: np.ndarray, batch_size: int
-    ) -> int:
-        """Resolve the candidate-stack width (0 = memory-aware auto)."""
-        k = self.eval_batch_k if eval_batch_k is None else eval_batch_k
-        if k < 0:
-            raise ValueError(f"eval_batch_k must be >= 0, got {k}")
-        if k:
-            return k
-        return auto_eval_batch_k(x, batch_size)
+            return False
+        if self._segment_map() is not None:
+            return True
+        if strategy == "segmented":
+            raise RuntimeError(_NO_SEGMENTS)
+        return False
 
     # -- public API -------------------------------------------------------------
     def measure(
@@ -596,26 +599,8 @@ class SensitivityEngine:
         y: np.ndarray,
         mode: str = "full",
         blocks: Optional[Sequence[str]] = None,
-        batch_size: int = 256,
         progress: Optional[Callable[[int, int], None]] = None,
-        symmetric_diag: bool = False,
-        strategy: Optional[str] = None,
-        num_workers: Optional[int] = None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        cache_budget: Optional[int] = None,
-        eval_batch_k: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
-        group_deadline: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        health: Optional[str] = None,
-        health_rounds: Optional[int] = None,
-        health_policy: Optional[HealthPolicy] = None,
-        shards: int = 0,
-        lease_ttl: Optional[float] = None,
-        spool_dir: Optional[str] = None,
-        model_spec: Optional[dict] = None,
+        **overrides,
     ) -> SensitivityResult:
         """Measure the sensitivity matrix on the set ``(x, y)``.
 
@@ -629,126 +614,31 @@ class SensitivityEngine:
             derived from layer names when omitted.
         progress:
             Optional callback ``(done, total)`` for long sweeps.
-        symmetric_diag:
-            Extension beyond the paper: measure the layer-specific terms
-            with the symmetric second difference
-            ``L(w+Δ) + L(w-Δ) - 2L(w)`` instead of Eq. 12's one-sided
-            ``2(L(w+Δ) - L(w))``.  Odd-order Taylor terms (including the
-            gradient term at a not-fully-converged model) cancel, at the
-            cost of ``|B|I`` extra loss evaluations.  Cross terms (Eq. 13)
-            already cancel the first order and are unchanged.
-        strategy / num_workers / cache_budget / checkpoint_path /
-        checkpoint_every / eval_batch_k / cache_bytes / group_deadline /
-        max_retries / fault_plan:
-            Per-call overrides of the engine-level execution knobs (see
-            the class docstring).  ``checkpoint_path`` enables periodic
-            persistence of partial losses; re-measuring with the same
-            model, data, and plan resumes instead of restarting.
-        health / health_rounds / health_policy:
-            Measurement-integrity checking (docs/robustness.md): any mode
-            other than ``"off"`` diagnoses the assembled matrix
-            (:func:`repro.robustness.health.diagnose_matrix`) and — on the
-            segmented path — quarantines and re-measures flagged entries
-            for up to ``health_rounds`` rounds of suffix replays.  The
-            warn/strict distinction is enforced by the caller (see
-            ``CLADO._prepare``); the engine only attaches the report as
-            ``result.health``.  ``health_policy`` overrides the detection
-            thresholds (advanced; defaults derive from ``health_rounds``).
-        shards / lease_ttl / spool_dir / model_spec:
-            ``shards > 1`` routes the sweep through the crash-tolerant
-            work-queue protocol of :mod:`repro.distrib`: the plan's groups
-            are partitioned into ``shards`` shards executed by spawned
-            worker processes (``num_workers`` of them) that rebuild the
-            model from ``model_spec`` (an ``{"import": "module:callable",
-            "kwargs": {...}}`` builder spec) plus serialized weights/data
-            in ``spool_dir``.  The merged matrix is bitwise identical to
-            the single-process sweep.  Requires the segmented strategy
-            and a ``model_spec``; see ``docs/distrib.md``.
+        overrides:
+            Per-call replacements of :class:`SensitivityConfig` fields on
+            top of ``self.config`` (``batch_size=``, ``strategy=``,
+            ``checkpoint_path=``, ``health=``...).  ``shards > 1`` routes
+            the sweep through :func:`repro.distrib.measure_sharded`, whose
+            merged matrix is bitwise identical to the single-process
+            sweep; see ``docs/distrib.md``.
         """
-        if mode not in ("full", "diagonal", "block"):
-            raise ValueError(f"unknown mode {mode!r}")
-        health_mode = self.health if health is None else health
-        if health_mode not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown health mode {health_mode!r}")
-        rounds = self.health_rounds if health_rounds is None else health_rounds
-        if rounds < 0:
-            raise ValueError(f"health_rounds must be >= 0, got {rounds}")
-        policy = (
-            health_policy
-            or self.health_policy
-            or HealthPolicy(remeasure_rounds=rounds)
-        )
+        cfg = self.config.with_overrides(**overrides)
         pair_list = build_pair_list(self.table.layers, mode, blocks)
-
-        if shards and shards > 1:
-            from ..distrib import measure_sharded
-
-            if self._resolve_strategy(strategy) != "segmented":
+        segmented = self._segmented(cfg.strategy)
+        if cfg.shards > 1:
+            if not segmented:
                 raise RuntimeError(
                     "sharded sweeps require the segmented strategy (the "
                     "shard protocol is keyed by the segmented eval plan)"
                 )
-            return measure_sharded(
-                self,
-                x,
-                y,
-                mode=mode,
-                blocks=blocks,
-                batch_size=batch_size,
-                symmetric_diag=symmetric_diag,
-                shards=shards,
-                num_workers=self._resolve_workers(num_workers),
-                lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-                spool_dir=spool_dir,
-                model_spec=model_spec,
-                eval_batch_k=self._resolve_eval_batch_k(eval_batch_k, x, batch_size),
-                cache_budget=(
-                    self.cache_budget if cache_budget is None else cache_budget
-                ),
-                cache_bytes=self.cache_bytes if cache_bytes is None else cache_bytes,
-                max_retries=self.max_retries if max_retries is None else max_retries,
-                fault_plan=resolve_fault_plan(
-                    self.fault_plan if fault_plan is None else fault_plan
-                ),
-                health=health_mode,
-                health_policy=policy,
-                progress=progress,
-            )
+            from ..distrib import measure_sharded
 
-        resolved = self._resolve_strategy(strategy)
-        if resolved == "naive":
-            return self._measure_naive(
-                x, y, mode, pair_list, batch_size, progress, symmetric_diag,
-                health=health_mode, health_policy=policy,
+            return measure_sharded(
+                self, x, y, cfg, mode=mode, blocks=blocks, progress=progress
             )
-        return self._measure_segmented(
-            x,
-            y,
-            mode,
-            pair_list,
-            batch_size,
-            progress,
-            symmetric_diag,
-            num_workers=self._resolve_workers(num_workers),
-            cache_budget=(
-                self.cache_budget if cache_budget is None else cache_budget
-            ),
-            checkpoint_path=checkpoint_path or self.checkpoint_path,
-            checkpoint_every=(
-                self.checkpoint_every if checkpoint_every is None else checkpoint_every
-            ),
-            eval_batch_k=self._resolve_eval_batch_k(eval_batch_k, x, batch_size),
-            cache_bytes=self.cache_bytes if cache_bytes is None else cache_bytes,
-            group_deadline=(
-                self.group_deadline if group_deadline is None else group_deadline
-            ),
-            max_retries=self.max_retries if max_retries is None else max_retries,
-            fault_plan=resolve_fault_plan(
-                self.fault_plan if fault_plan is None else fault_plan
-            ),
-            health=health_mode,
-            health_policy=policy,
-        )
+        if not segmented:
+            return self._measure_naive(x, y, mode, pair_list, cfg, progress)
+        return self._measure_segmented(x, y, mode, blocks, cfg, progress)
 
     # -- naive strategy: one full forward per evaluation -----------------------
     def _measure_naive(
@@ -757,17 +647,16 @@ class SensitivityEngine:
         y: np.ndarray,
         mode: str,
         pair_list: Sequence[Tuple[int, int]],
-        batch_size: int,
+        cfg: SensitivityConfig,
         progress: Optional[Callable[[int, int], None]],
-        symmetric_diag: bool,
-        health: str = "off",
-        health_policy: Optional[HealthPolicy] = None,
     ) -> SensitivityResult:
         t0 = telemetry.monotonic()
         bits = self.table.config.bits
         num_layers = len(self.table.layers)
         nb = len(bits)
         nvars = num_layers * nb
+        batch_size = cfg.batch_size
+        symmetric_diag = cfg.symmetric_diag
 
         diag_evals = num_layers * nb * (2 if symmetric_diag else 1)
         total_evals = 1 + diag_evals + len(pair_list) * nb * nb
@@ -823,11 +712,11 @@ class SensitivityEngine:
 
         extras: Dict[str, object] = {"strategy": "naive", "workers": 1}
         health_report: Optional[GMatrixHealth] = None
-        if health != "off":
+        if cfg.health != "off":
             # The naive path has no prefix cache to replay from, so it is
             # detection-only: quarantine-and-remeasure needs the segmented
             # engine (the default whenever the model exposes segments).
-            policy = health_policy or HealthPolicy()
+            policy = HealthPolicy(remeasure_rounds=cfg.health_rounds)
             with telemetry.span("sweep.health"):
                 health_report = _health.diagnose_matrix(
                     matrix,
@@ -868,43 +757,14 @@ class SensitivityEngine:
         x: np.ndarray,
         y: np.ndarray,
         mode: str,
-        pair_list: Sequence[Tuple[int, int]],
-        batch_size: int,
+        blocks: Optional[Sequence[str]],
+        cfg: SensitivityConfig,
         progress: Optional[Callable[[int, int], None]],
-        symmetric_diag: bool,
-        num_workers: int,
-        cache_budget: Optional[int],
-        checkpoint_path: Optional[str],
-        checkpoint_every: int,
-        eval_batch_k: int,
-        cache_bytes: Optional[int] = None,
-        group_deadline: Optional[float] = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        fault_plan: Optional[FaultPlan] = None,
-        health: str = "off",
-        health_policy: Optional[HealthPolicy] = None,
     ) -> SensitivityResult:
         t0 = telemetry.monotonic()
-        bits = self.table.config.bits
-        num_layers = len(self.table.layers)
-        nb = len(bits)
-        nvars = num_layers * nb
-        segments = self._segments
-        layer_segments = self._layer_segments
-        nseg = len(segments)
-
-        self._active_cache_budget = cache_budget
-        self._active_cache_bytes = cache_bytes
-        self._active_eval_batch_k = eval_batch_k
-        self._active_waste_factor = auto_waste_factor(x, batch_size)
-        self._active_fault_plan = fault_plan
-        self._fault_attempt = 0
-        self._poison_next_loss = False
-        with telemetry.span("sweep.plan"):
-            plan = build_eval_plan(
-                num_layers, bits, pair_list, layer_segments, nseg, symmetric_diag,
-                mode,
-            )
+        run = SweepRun(self, x, y, mode, blocks, config=cfg)
+        cfg = run.config
+        plan = run.plan
         total_evals = 1 + plan.num_evals
         done = 0
 
@@ -915,48 +775,14 @@ class SensitivityEngine:
                 if progress is not None:
                     progress(done, total_evals)
 
-        t_plan = telemetry.monotonic() - t0
-
-        # Clean prefix pass: one full forward per batch, checkpointing the
-        # cuts replays start from; the final outputs give the base loss.
-        self.model.eval()
-        n = len(x)
-        batches = [
-            (x[s : s + batch_size], y[s : s + batch_size])
-            for s in range(0, n, batch_size)
-        ]
-        clean_freq: Counter = Counter()
-        for g in plan.groups:
-            clean_freq[g.segment] += 2 if g.mirror is not None else 1
-            for p in g.pairs:
-                if p.start_segment < g.segment:
-                    clean_freq[p.start_segment] += 1
-        clean = PrefixCache(
-            segments,
-            select_cuts(clean_freq, cache_budget) | {0},
-            max_bytes=cache_bytes,
-        )
-        with telemetry.span("sweep.prefix"):
-            base_total = 0.0
-            for b, (xb, yb) in enumerate(batches):
-                a = xb
-                for k, seg in enumerate(segments):
-                    clean.put(b, k, a)
-                    a = seg.forward(a)
-                base_total += self.criterion.forward(a, yb) * len(xb)
-            base_loss = self._check_finite(base_total / n)
-        _FORWARD_EVALS.add()
-        _SEGMENT_FORWARDS.add(nseg * len(batches))
-        tick()
-        t_prefix = telemetry.monotonic() - t0 - t_plan
+        tick()  # the base loss, measured by the run's clean prefix pass
 
         checkpoint: Optional[SweepCheckpoint] = None
         losses: Dict[int, float] = {}
-        if checkpoint_path:
-            fingerprint = plan.fingerprint(self._data_fingerprint(x, y, batch_size))
+        if cfg.checkpoint_path:
             checkpoint = SweepCheckpoint(
-                checkpoint_path, fingerprint, every=checkpoint_every,
-                fault_plan=fault_plan,
+                cfg.checkpoint_path, run.fingerprint(),
+                every=cfg.checkpoint_every, fault_plan=cfg.fault_plan,
             )
             losses = checkpoint.load()
         # A group reruns in full unless every one of its losses was restored.
@@ -981,29 +807,35 @@ class SensitivityEngine:
             "deadline_kills": 0,
             "serial_fallback_groups": 0,
         }
-        workers = min(num_workers, max(1, len(pending)))
+
+        def deliver(
+            results: List[Tuple[int, float]], work: int, stats: Dict[str, int]
+        ) -> None:
+            """Fold one finished group in, checkpointing its losses."""
+            nonlocal segment_work
+            segment_work += work
+            for key in ("evals", "chunks", "extra_flops"):
+                chunk_stats[key] += stats[key]
+            chunk_stats["width_max"] = max(
+                chunk_stats["width_max"], stats["width_max"]
+            )
+            for index, loss in results:
+                losses[index] = loss
+                if checkpoint is not None:
+                    checkpoint.record(index, loss)
+            tick(len(results))
+
+        workers = min(cfg.num_workers, max(1, len(pending)))
         t_eval_start = telemetry.monotonic()
         try:
             with telemetry.span("sweep.evals", workers=workers):
                 if workers > 1:
-                    segment_work += self._run_groups_supervised(
-                        plan, pending, clean, batches, n, workers,
-                        losses, checkpoint, tick, chunk_stats, recovery,
-                        max_retries=max_retries, group_deadline=group_deadline,
+                    self._run_groups_supervised(
+                        run, pending, workers, deliver, recovery
                     )
                 else:
                     for gi in pending:
-                        results, work, stats = self._execute_group_resilient(
-                            plan, gi, clean, batches, n,
-                            max_retries=max_retries, recovery=recovery,
-                        )
-                        segment_work += work
-                        _merge_chunk_stats(chunk_stats, stats)
-                        for index, loss in results:
-                            losses[index] = loss
-                            if checkpoint is not None:
-                                checkpoint.record(index, loss)
-                        tick(len(results))
+                        deliver(*self._execute_group_resilient(run, gi, recovery))
         finally:
             if checkpoint is not None:
                 checkpoint.flush()
@@ -1011,16 +843,16 @@ class SensitivityEngine:
 
         # Injected measurement corruption (round 0 = the sweep itself) and
         # deterministic reassembly, shared with the distributed merge path.
-        matrix, single = assemble_from_losses(plan, losses, base_loss, fault_plan)
+        matrix, single = assemble_from_losses(
+            plan, losses, run.base_loss, cfg.fault_plan
+        )
 
         health_report: Optional[GMatrixHealth] = None
         health_extras: Optional[Dict[str, object]] = None
-        if health != "off":
-            policy = health_policy or HealthPolicy()
+        if cfg.health != "off":
             with telemetry.span("sweep.health"):
                 health_report, health_extras = self._health_pass(
-                    plan, matrix, single, base_loss, losses,
-                    clean, batches, n, policy, fault_plan,
+                    run, matrix, single, losses
                 )
             if checkpoint is not None:
                 # Accepted re-measurements supersede the checkpointed sweep
@@ -1030,7 +862,8 @@ class SensitivityEngine:
                 checkpoint.flush()
 
         wall = telemetry.monotonic() - t0
-        num_batches = len(batches)
+        nseg = len(run.segments)
+        num_batches = len(run.batches)
         prefix_work = nseg * num_batches
         naive_work = total_evals * nseg * num_batches
         executed = plan.num_evals - resumed
@@ -1048,16 +881,18 @@ class SensitivityEngine:
             "plan_evals": plan.num_evals,
             "resumed_evals": resumed,
             "executed_evals": executed,
-            "prefix_cuts_cached": clean.num_checkpoints,
-            "cache_budget": -1 if cache_budget is None else cache_budget,
-            "cache_bytes": -1 if cache_bytes is None else cache_bytes,
-            "clean_cache_evictions": clean.evictions,
-            "clean_cache_stored_bytes": clean.stored_bytes,
-            "eval_batch_k": eval_batch_k,
-            "max_retries": max_retries,
-            "group_deadline": -1.0 if group_deadline is None else group_deadline,
+            "prefix_cuts_cached": run.clean.num_checkpoints,
+            "cache_budget": -1 if cfg.cache_budget is None else cfg.cache_budget,
+            "cache_bytes": -1 if cfg.cache_bytes is None else cfg.cache_bytes,
+            "clean_cache_evictions": run.clean.evictions,
+            "clean_cache_stored_bytes": run.clean.stored_bytes,
+            "eval_batch_k": cfg.eval_batch_k,
+            "max_retries": cfg.max_retries,
+            "group_deadline": (
+                -1.0 if cfg.group_deadline is None else cfg.group_deadline
+            ),
             "injected_fault_plan": (
-                fault_plan.describe() if fault_plan is not None else []
+                cfg.fault_plan.describe() if cfg.fault_plan is not None else []
             ),
             **recovery,
             "batched_evals": chunk_stats["evals"],
@@ -1071,8 +906,8 @@ class SensitivityEngine:
             + chunk_stats["extra_flops"],
             "segment_work_saved": 1.0
             - (prefix_work + segment_work) / max(1, naive_work),
-            "time_plan": t_plan,
-            "time_prefix": t_prefix,
+            "time_plan": run.time_plan,
+            "time_prefix": run.time_prefix,
             "time_evals": t_evals,
             "time_total": wall,
             "evals_per_sec": executed / t_evals if t_evals > 0 else float("inf"),
@@ -1081,12 +916,12 @@ class SensitivityEngine:
             extras["health"] = health_extras
         return SensitivityResult(
             matrix=matrix,
-            base_loss=base_loss,
+            base_loss=run.base_loss,
             single_losses=single,
             num_evals=total_evals,
             wall_time=wall,
             mode=mode,
-            bits=tuple(bits),
+            bits=tuple(plan.bits),
             extras=extras,
             health=health_report,
         )
@@ -1095,22 +930,16 @@ class SensitivityEngine:
 
     def _health_pass(
         self,
-        plan: EvalPlan,
+        run: "SweepRun",
         matrix: np.ndarray,
         single: np.ndarray,
-        base_loss: float,
         losses: Dict[int, float],
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-        policy: HealthPolicy,
-        fault_plan: Optional[FaultPlan],
     ) -> Tuple[GMatrixHealth, Dict[str, object]]:
         """Diagnose the assembled Ĝ and quarantine-and-remeasure suspects.
 
         Flagged entries are re-evaluated in place — suffix replays off the
-        *clean* prefix cache, not full sweeps — for up to
-        ``policy.remeasure_rounds`` rounds.  A re-measurement that agrees
+        run's *clean* prefix cache, not full sweeps — for up to
+        ``health_rounds`` rounds.  A re-measurement that agrees
         with the entry's current value (bitwise for the deterministic
         sequential path) confirms it; a disagreement replaces the value
         and leaves the entry active so the replacement itself must repeat
@@ -1120,6 +949,9 @@ class SensitivityEngine:
         ``losses`` and returns the post-quarantine report plus the
         JSON-safe ``extras["health"]`` summary.
         """
+        plan = run.plan
+        base_loss = run.base_loss
+        policy = HealthPolicy(remeasure_rounds=run.config.health_rounds)
         nb = len(plan.bits)
         diag_groups: Dict[int, GroupPlan] = {
             g.i * nb + g.m: g for g in plan.groups
@@ -1164,6 +996,11 @@ class SensitivityEngine:
             p = pair_specs.get(key)
             return [] if p is None else [p]
 
+        def write_pair(p: EvalSpec) -> None:
+            omega = losses[p.index] + base_loss - single[p.i, p.m] - single[p.j, p.n]
+            matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
+            matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
+
         def recompute(key: Tuple[int, int]) -> None:
             """Rewrite the entry (and its dependents) from current losses.
 
@@ -1172,25 +1009,23 @@ class SensitivityEngine:
             the loss dict, and a symmetric rewrite is what heals it.
             """
             r, c = key
-            if r == c:
-                g = diag_groups[r]
-                loss = losses[g.diag.index]
-                single[g.i, g.m] = loss
-                if g.mirror is not None:
-                    omega = loss + losses[g.mirror.index] - 2.0 * base_loss
-                else:
-                    omega = 2.0 * (loss - base_loss)
-                matrix[r, r] = omega
-                self._recompute_dependent_pairs(
-                    plan, matrix, single, base_loss, losses, g.i, g.m
-                )
+            if r != c:
+                write_pair(pair_specs[key])
+                return
+            g = diag_groups[r]
+            loss = losses[g.diag.index]
+            single[g.i, g.m] = loss
+            if g.mirror is not None:
+                omega = loss + losses[g.mirror.index] - 2.0 * base_loss
             else:
-                p = pair_specs[key]
-                omega = (
-                    losses[p.index] + base_loss - single[p.i, p.m] - single[p.j, p.n]
-                )
-                matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
-                matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
+                omega = 2.0 * (loss - base_loss)
+            matrix[r, r] = omega
+            # A corrected single silently heals the pair entries it
+            # poisoned — they were assembled from the same corrupted
+            # single, not independently measured wrong.
+            for p in pair_specs.values():
+                if (p.i, p.m) == (g.i, g.m) or (p.j, p.n) == (g.i, g.m):
+                    write_pair(p)
 
         for round_ in range(1, policy.remeasure_rounds + 1):
             if not active:
@@ -1210,9 +1045,7 @@ class SensitivityEngine:
                     samples.setdefault(key, [losses[specs[0].index]])
                     agree = True
                     for spec in specs:
-                        new = self._remeasure_loss(
-                            plan, spec, clean, batches, n, fault_plan, round_
-                        )
+                        new = self._remeasure_loss(run, spec, round_)
                         remeasured += 1
                         if not policy.agrees(new, losses[spec.index]):
                             agree = False
@@ -1256,16 +1089,7 @@ class SensitivityEngine:
         }
         return final, extras
 
-    def _remeasure_loss(
-        self,
-        plan: EvalPlan,
-        spec: EvalSpec,
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-        fault_plan: Optional[FaultPlan],
-        round_: int,
-    ) -> float:
+    def _remeasure_loss(self, run: "SweepRun", spec: EvalSpec, round_: int) -> float:
         """One quarantine re-evaluation of ``spec`` — a suffix replay.
 
         Replays from the clean prefix cache at the earliest perturbed
@@ -1274,6 +1098,7 @@ class SensitivityEngine:
         while their ``times`` budget lasts (``round_`` >= 1 here), which is
         what makes persistent disagreers deterministic in chaos tests.
         """
+        plan = run.plan
         bits = plan.bits
         if spec.kind == "pair":
             start = min(plan.layer_segments[spec.i], plan.layer_segments[spec.j])
@@ -1286,51 +1111,15 @@ class SensitivityEngine:
         else:
             start = spec.start_segment
             ctx = self.table.perturbed((spec.i, bits[spec.m]))
-        total = 0.0
-        work = 0
         with ctx:
-            for b, (xb, yb) in enumerate(batches):
-                a = clean.activation(b, start)
-                a, replayed = self._replay(start, a)
-                work += replayed
-                total += self.criterion.forward(a, yb) * len(xb)
-        _FORWARD_EVALS.add()
+            loss, work = self._replay_loss(run, run.clean, start)
         _SEGMENT_FORWARDS.add(work)
-        loss = self._check_finite(total / n)
+        fault_plan = run.config.fault_plan
         if fault_plan is not None:
             delta = fault_plan.outlier_delta(spec.index, round_)
             if delta is not None:
                 loss += delta * (1.0 + abs(loss))
         return loss
-
-    def _recompute_dependent_pairs(
-        self,
-        plan: EvalPlan,
-        matrix: np.ndarray,
-        single: np.ndarray,
-        base_loss: float,
-        losses: Dict[int, float],
-        i: int,
-        m: int,
-    ) -> None:
-        """Rewrite every Ω entry whose finite difference reads ``single[i, m]``.
-
-        A corrected diagonal loss silently heals the pair entries it
-        poisoned — they were assembled from the same corrupted single, not
-        independently measured wrong.
-        """
-        nb = len(plan.bits)
-        for g in plan.groups:
-            for p in g.pairs:
-                if (p.i, p.m) == (i, m) or (p.j, p.n) == (i, m):
-                    omega = (
-                        losses[p.index]
-                        + base_loss
-                        - single[p.i, p.m]
-                        - single[p.j, p.n]
-                    )
-                    matrix[p.i * nb + p.m, p.j * nb + p.n] = omega
-                    matrix[p.j * nb + p.n, p.i * nb + p.m] = omega
 
     def _data_fingerprint(self, x: np.ndarray, y: np.ndarray, batch_size: int) -> str:
         """Ties a resume checkpoint to the exact data, weights, and batching."""
@@ -1342,17 +1131,37 @@ class SensitivityEngine:
         h.update(str(batch_size).encode())
         return h.hexdigest()
 
+    # -- group execution: fault injection, retries, worker supervision ---------
+    def _execute_group(self, run: "SweepRun", group_idx: int) -> GroupResult:
+        """Run one plan group, firing any sweep fault scheduled for it first.
+
+        This is the fault-injection point for sweep faults: it runs
+        identically in supervised workers, in serial execution and in
+        shard workers, and it sees the (group, attempt) pair the schedule
+        is keyed by.
+        """
+        fault = run.config.fault_plan
+        if fault is not None:
+            if fault.crash_now(group_idx, run.attempt):
+                if _faults.in_worker():
+                    # Die the way a real worker does (OOM kill, signal):
+                    # no cleanup, no reply — the supervisor sees EOF.
+                    os._exit(_faults.FAULT_EXIT_CODE)
+                raise InjectedWorkerCrash(
+                    f"injected worker crash at group {group_idx} "
+                    f"(attempt {run.attempt})"
+                )
+            if fault.nonfinite_now(group_idx, run.attempt):
+                run.poison_next_loss = True
+        return self._run_group(run, group_idx)
+
     def _execute_group_resilient(
         self,
-        plan: EvalPlan,
+        run: "SweepRun",
         group_idx: int,
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-        max_retries: int,
         recovery: Dict[str, int],
         start_attempt: int = 0,
-    ) -> Tuple[List[Tuple[int, float]], int, Optional[Dict[str, int]]]:
+    ) -> GroupResult:
         """Execute one group in-process with bounded retries.
 
         The retry loop is safe because a failed attempt leaves no partial
@@ -1362,11 +1171,12 @@ class SensitivityEngine:
         keeps the fault-injection attempt counter monotonic for groups that
         already burned attempts on the worker pool.
         """
+        max_retries = run.config.max_retries
         last_exc: Optional[BaseException] = None
         for k in range(max_retries + 1):
-            self._fault_attempt = start_attempt + k
+            run.attempt = start_attempt + k
             try:
-                return self._execute_group(plan, group_idx, clean, batches, n)
+                return self._execute_group(run, group_idx)
             except Exception as exc:
                 last_exc = exc
                 if k < max_retries:
@@ -1382,21 +1192,13 @@ class SensitivityEngine:
 
     def _run_groups_supervised(
         self,
-        plan: EvalPlan,
+        run: "SweepRun",
         pending: Sequence[int],
-        clean: PrefixCache,
-        batches: list,
-        n: int,
         workers: int,
-        losses: Dict[int, float],
-        checkpoint: Optional[SweepCheckpoint],
-        tick: Callable[[int], None],
-        chunk_stats: Dict[str, int],
+        deliver: Callable[..., None],
         recovery: Dict[str, int],
-        max_retries: int,
-        group_deadline: Optional[float],
-    ) -> int:
-        """Fan groups out across supervised fork workers; collect by plan index.
+    ) -> None:
+        """Fan groups out across supervised fork workers.
 
         Unlike a bare ``mp.Pool`` (which deadlocks when a worker dies with a
         task in flight), each worker is a dedicated process on a dedicated
@@ -1406,31 +1208,18 @@ class SensitivityEngine:
         survivors with bounded retries.  Groups the pool cannot finish —
         retries exhausted or every worker dead — degrade to serial
         execution in the parent, which is also where :class:`SweepFailure`
-        is ultimately raised.  Completed losses are checkpointed as they
-        arrive, so nothing measured is ever re-measured.
+        is ultimately raised.  Each finished group goes to ``deliver`` as
+        it arrives, so nothing measured is ever re-measured.
         """
         global _FORK_STATE
         ctx = mp.get_context("fork")
-        segment_work = 0
-        _FORK_STATE = (self, plan, clean, batches, n)
+        max_retries = run.config.max_retries
+        group_deadline = run.config.group_deadline
+        _FORK_STATE = run
         pool: List[_SupervisedWorker] = []
         queue = deque(pending)
         attempts: Dict[int, int] = {gi: 0 for gi in pending}
         overflow: List[int] = []  # retries exhausted on the pool -> serial
-
-        def deliver(
-            results: List[Tuple[int, float]],
-            work: int,
-            stats: Optional[Dict[str, int]],
-        ) -> None:
-            nonlocal segment_work
-            segment_work += work
-            _merge_chunk_stats(chunk_stats, stats)
-            for index, loss in results:
-                losses[index] = loss
-                if checkpoint is not None:
-                    checkpoint.record(index, loss)
-            tick(len(results))
 
         def requeue(gi: int) -> None:
             attempts[gi] += 1
@@ -1548,177 +1337,48 @@ class SensitivityEngine:
             for gi in leftovers:
                 deliver(
                     *self._execute_group_resilient(
-                        plan, gi, clean, batches, n,
-                        max_retries=max_retries,
-                        recovery=recovery,
-                        start_attempt=attempts.get(gi, 0),
+                        run, gi, recovery, start_attempt=attempts.get(gi, 0)
                     )
                 )
-        return segment_work
 
-    def _replay(self, start: int, activation: np.ndarray) -> Tuple[np.ndarray, int]:
-        segments = self._segments
-        for k in range(start, len(segments)):
-            activation = segments[k].forward(activation)
-        return activation, len(segments) - start
-
-    def _run_group(
-        self,
-        plan: EvalPlan,
-        group_idx: int,
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-    ) -> Tuple[List[Tuple[int, float]], int]:
+    # -- the sweep's inner loop --------------------------------------------------
+    @hot_path
+    def _run_group(self, run: "SweepRun", group_idx: int) -> GroupResult:
         """All evaluations of one anchor group ``(i, b_m)``.
 
         The diagonal replay doubles as the construction pass of the
         group's perturbed-suffix cache: activations entering each partner
         segment (with ``(i, b_m)`` applied) are checkpointed, so every
-        pair evaluation replays only from its partner's segment.
-        Returns ``((plan_index, loss), ...)`` plus the number of
-        segment-forwards spent.
+        pair evaluation replays only from its partner's segment.  The pair
+        evaluations run as waste-bounded chunks (:class:`BatchChunk`) of
+        at most ``eval_batch_k`` candidates: a wider chunk replays its suffix
+        **once** with every member stacked on the candidate axis
+        (:meth:`_run_chunk`); a width-1 chunk is the plain perturbed
+        replay, so ``eval_batch_k=1`` is the sequential sweep.  Losses land
+        under their plan indices, so reassembly, checkpointing and resume
+        are oblivious to the chunking.  Returns ``((plan_index, loss),
+        ...)``, the segment-forwards spent, and the chunk statistics
+        (recorded only when config batching is on, ``eval_batch_k > 1``).
         """
-        g = plan.groups[group_idx]
-        bits = plan.bits
-        segments = self._segments
-        nseg = plan.num_segments
-        out: List[Tuple[int, float]] = []
-        work = 0
-        clean_work0 = clean.recomputed_segments
-
-        group_freq = Counter(
-            p.start_segment for p in g.pairs if p.start_segment > g.segment
-        )
-        group_cache = PrefixCache(
-            segments,
-            select_cuts(group_freq, self._active_cache_budget) | {g.segment},
-            max_bytes=self._active_cache_bytes,
-        )
-
-        with telemetry.span("sweep.group", i=g.i), self.table.perturbed(
-            (g.i, bits[g.m])
-        ):
-            # Diagonal evaluation + perturbed-suffix checkpointing.
-            with telemetry.span("sweep.diag", i=g.i):
-                total = 0.0
-                for b, (xb, yb) in enumerate(batches):
-                    a = clean.activation(b, g.segment)
-                    for k in range(g.segment, nseg):
-                        group_cache.put(b, k, a)
-                        a = segments[k].forward(a)
-                        work += 1
-                    total += self.criterion.forward(a, yb) * len(xb)
-                out.append((g.diag.index, self._check_finite(total / n)))
-            _FORWARD_EVALS.add()
-
-            for p in g.pairs:
-                with telemetry.span("sweep.pair", i=p.i, j=p.j):
-                    with self.table.perturbed((p.j, bits[p.n])):
-                        total = 0.0
-                        for b, (xb, yb) in enumerate(batches):
-                            if p.start_segment >= g.segment:
-                                a = group_cache.activation(b, p.start_segment)
-                            else:
-                                # Partner sits before the anchor segment (layer
-                                # enumeration not in forward order): both
-                                # perturbations are applied, replay from clean.
-                                a = clean.activation(b, p.start_segment)
-                            a, replayed = self._replay(p.start_segment, a)
-                            work += replayed
-                            total += self.criterion.forward(a, yb) * len(xb)
-                        out.append((p.index, self._check_finite(total / n)))
-                _FORWARD_EVALS.add()
-
-        if g.mirror is not None:
-            with telemetry.span("sweep.mirror", i=g.i), self.table.mirrored(
-                g.i, bits[g.m]
-            ):
-                total = 0.0
-                for b, (xb, yb) in enumerate(batches):
-                    a = clean.activation(b, g.segment)
-                    a, replayed = self._replay(g.segment, a)
-                    work += replayed
-                    total += self.criterion.forward(a, yb) * len(xb)
-                out.append((g.mirror.index, self._check_finite(total / n)))
-            _FORWARD_EVALS.add()
-
-        work += clean.recomputed_segments - clean_work0
-        work += group_cache.recomputed_segments
-        _SEGMENT_FORWARDS.add(work)
-        return out, work
-
-    def _execute_group(
-        self,
-        plan: EvalPlan,
-        group_idx: int,
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-    ) -> Tuple[List[Tuple[int, float]], int, Optional[Dict[str, int]]]:
-        """Route one group to the config-batched or sequential executor.
-
-        This is also the fault-injection point for sweep faults: it runs
-        identically in supervised workers and in serial execution, and it
-        sees the (group, attempt) pair the schedule is keyed by.
-        """
-        fault = self._active_fault_plan
-        if fault is not None:
-            if fault.crash_now(group_idx, self._fault_attempt):
-                if _faults.in_worker():
-                    # Die the way a real worker does (OOM kill, signal):
-                    # no cleanup, no reply — the supervisor sees EOF.
-                    os._exit(_faults.FAULT_EXIT_CODE)
-                raise InjectedWorkerCrash(
-                    f"injected worker crash at group {group_idx} "
-                    f"(attempt {self._fault_attempt})"
-                )
-            if fault.nonfinite_now(group_idx, self._fault_attempt):
-                self._poison_next_loss = True
-        if self._active_eval_batch_k > 1 and plan.groups[group_idx].pairs:
-            return self._run_group_batched(plan, group_idx, clean, batches, n)
-        out, work = self._run_group(plan, group_idx, clean, batches, n)
-        return out, work, None
-
-    @hot_path
-    def _run_group_batched(
-        self,
-        plan: EvalPlan,
-        group_idx: int,
-        clean: PrefixCache,
-        batches: list,
-        n: int,
-    ) -> Tuple[List[Tuple[int, float]], int, Dict[str, int]]:
-        """Config-batched variant of :meth:`_run_group`.
-
-        The diagonal replay is unchanged (it is a single evaluation and it
-        builds the perturbed-suffix cache every chunk reads from); the pair
-        evaluations are coalesced into waste-bounded :class:`BatchChunk`s
-        and each chunk replays its suffix **once** with all member
-        configurations stacked on the candidate axis.  Losses land under
-        the same plan indices, so reassembly, checkpointing, and resume are
-        oblivious to the batching.
-        """
-        g = plan.groups[group_idx]
-        bits = plan.bits
-        segments = self._segments
-        nseg = plan.num_segments
+        g = run.plan.groups[group_idx]
+        bits = run.plan.bits
+        segments = run.segments
+        nseg = len(segments)
+        clean = run.clean
+        batched = run.config.eval_batch_k > 1
         out: List[Tuple[int, float]] = []
         work = 0
         clean_work0 = clean.recomputed_segments
         stats = {"evals": 0, "chunks": 0, "width_max": 0, "extra_flops": 0}
 
         chunks = build_batch_chunks(
-            g.pairs,
-            nseg,
-            self._active_eval_batch_k,
-            waste_factor=self._active_waste_factor,
+            g.pairs, nseg, run.config.eval_batch_k, waste_factor=run.waste_factor
         )
         group_freq = Counter(c.cut for c in chunks if c.cut > g.segment)
         group_cache = PrefixCache(
             segments,
-            select_cuts(group_freq, self._active_cache_budget) | {g.segment},
-            max_bytes=self._active_cache_bytes,
+            select_cuts(group_freq, run.config.cache_budget) | {g.segment},
+            max_bytes=run.config.cache_bytes,
         )
 
         with telemetry.span("sweep.group", i=g.i), self.table.perturbed(
@@ -1727,44 +1387,52 @@ class SensitivityEngine:
             # Diagonal evaluation + perturbed-suffix checkpointing.
             with telemetry.span("sweep.diag", i=g.i):
                 total = 0.0
-                for b, (xb, yb) in enumerate(batches):
+                for b, (xb, yb) in enumerate(run.batches):
                     a = clean.activation(b, g.segment)
                     for k in range(g.segment, nseg):
                         group_cache.put(b, k, a)
                         a = segments[k].forward(a)
-                        work += 1
                     total += self.criterion.forward(a, yb) * len(xb)
-                out.append((g.diag.index, self._check_finite(total / n)))
+                work += (nseg - g.segment) * len(run.batches)
+                out.append((g.diag.index, run.finite(total / run.n)))
             _FORWARD_EVALS.add()
 
             for chunk in chunks:
-                with telemetry.span(
-                    "sweep.chunk", i=g.i, width=chunk.width
-                ):
-                    results, replayed = self._run_chunk(
-                        chunk, g, bits, clean, group_cache, batches, n
-                    )
+                # A chunk cut before the anchor's segment (layer enumeration
+                # not in forward order) replays from the clean cache with
+                # the anchor re-applied on the way.
+                source = group_cache if chunk.cut >= g.segment else clean
+                if chunk.width == 1:
+                    p = chunk.specs[0]
+                    with telemetry.span("sweep.pair", i=p.i, j=p.j):
+                        with self.table.perturbed((p.j, bits[p.n])):
+                            loss, replayed = self._replay_loss(
+                                run, source, p.start_segment
+                            )
+                    results = [(p.index, loss)]
+                else:
+                    with telemetry.span("sweep.chunk", i=g.i, width=chunk.width):
+                        results, replayed = self._run_chunk(run, chunk, source)
                 work += replayed
                 out.extend(results)
-                stats["evals"] += chunk.width
-                stats["chunks"] += 1
-                stats["width_max"] = max(stats["width_max"], chunk.width)
-                stats["extra_flops"] += (
-                    (chunk.width - 1) * (nseg - chunk.cut) * len(batches)
-                )
+                if batched:
+                    _BATCHED_EVALS.add(chunk.width)
+                    _BATCHED_CHUNKS.add()
+                    _BATCH_WIDTH_MAX.record_max(chunk.width)
+                    stats["evals"] += chunk.width
+                    stats["chunks"] += 1
+                    stats["width_max"] = max(stats["width_max"], chunk.width)
+                    stats["extra_flops"] += (
+                        (chunk.width - 1) * (nseg - chunk.cut) * len(run.batches)
+                    )
 
         if g.mirror is not None:
             with telemetry.span("sweep.mirror", i=g.i), self.table.mirrored(
                 g.i, bits[g.m]
             ):
-                total = 0.0
-                for b, (xb, yb) in enumerate(batches):
-                    a = clean.activation(b, g.segment)
-                    a, replayed = self._replay(g.segment, a)
-                    work += replayed
-                    total += self.criterion.forward(a, yb) * len(xb)
-                out.append((g.mirror.index, self._check_finite(total / n)))
-            _FORWARD_EVALS.add()
+                loss, replayed = self._replay_loss(run, clean, g.segment)
+            work += replayed
+            out.append((g.mirror.index, loss))
 
         work += clean.recomputed_segments - clean_work0
         work += group_cache.recomputed_segments
@@ -1772,35 +1440,47 @@ class SensitivityEngine:
         return out, work, stats
 
     @hot_path
+    def _replay_loss(
+        self, run: "SweepRun", source: PrefixCache, start: int
+    ) -> Tuple[float, int]:
+        """Loss of the current weights, replayed from ``source`` at ``start``.
+
+        The plain (unstacked) perturbed replay: every mini-batch runs
+        segments ``start..`` from the cached activation entering
+        ``start``.  Returns the loss and the segment-forwards spent.
+        """
+        segments = run.segments
+        total = 0.0
+        for b, (xb, yb) in enumerate(run.batches):
+            a = source.activation(b, start)
+            for k in range(start, len(segments)):
+                a = segments[k].forward(a)
+            total += self.criterion.forward(a, yb) * len(xb)
+        loss = run.finite(total / run.n)
+        _FORWARD_EVALS.add()
+        return loss, (len(segments) - start) * len(run.batches)
+
+    @hot_path
     def _run_chunk(
-        self,
-        chunk: BatchChunk,
-        g: GroupPlan,
-        bits: Tuple[int, ...],
-        clean: PrefixCache,
-        group_cache: PrefixCache,
-        batches: list,
-        n: int,
+        self, run: "SweepRun", chunk: BatchChunk, source: PrefixCache
     ) -> Tuple[List[Tuple[int, float]], int]:
         """One stacked suffix replay evaluating every spec in ``chunk``.
 
         Runs inside the group's anchor context (``(i, b_m)`` applied
-        globally).  Candidate ``k`` overlays its partner layer ``j_k`` with
-        ``Q(w, b_{n_k})``; every other overlaid layer shows candidate ``k``
-        its current in-context weight, so each candidate row computes
-        exactly the sequential pair evaluation it replaces.  When the chunk
-        cut sits before the anchor's segment the replay starts from the
-        clean cache and re-applies the anchor on the way (same invariant
-        as the sequential partner-before-anchor path).
+        globally), replaying from ``source`` at the chunk cut.  Candidate
+        ``k`` overlays its partner layer ``j_k`` with ``Q(w, b_{n_k})``;
+        every other overlaid layer shows candidate ``k`` its current
+        in-context weight, so each candidate row computes exactly the
+        sequential pair evaluation it replaces.
         """
-        segments = self._segments
+        segments = run.segments
         nseg = len(segments)
+        bits = run.plan.bits
         width = chunk.width
         cut = chunk.cut
         # Fetch activation sources before overlays go on: a cache miss
         # recomputes with plain forwards, which must not see folded batches.
-        source = group_cache if cut >= g.segment else clean
-        acts = [source.activation(b, cut) for b in range(len(batches))]
+        acts = [source.activation(b, cut) for b in range(len(run.batches))]
         # Sparse overlays: at each partner layer, every candidate but the
         # spec's own row sees the current in-context weight, so the layer
         # runs one tall base GEMM plus a per-row slice fixup instead of
@@ -1816,7 +1496,7 @@ class SensitivityEngine:
         }
         totals = [0.0] * width
         with self.table.batched(overrides):
-            for b, (xb, yb) in enumerate(batches):
+            for b, (xb, yb) in enumerate(run.batches):
                 a = fold_candidates(acts[b], width)
                 for s in range(cut, nseg):
                     a = segments[s].forward(a)
@@ -1826,32 +1506,33 @@ class SensitivityEngine:
                 for k in range(width):
                     totals[k] += losses[k] * len(xb)
         _FORWARD_EVALS.add(width)
-        _BATCHED_EVALS.add(width)
-        _BATCHED_CHUNKS.add()
-        _BATCH_WIDTH_MAX.record_max(width)
         results = [
-            (spec.index, self._check_finite(totals[k] / n))
+            (spec.index, run.finite(totals[k] / run.n))
             for k, spec in enumerate(chunk.specs)
         ]
         # One stacked dispatch per (segment, batch), whatever the width.
-        return results, (nseg - cut) * len(batches)
+        return results, (nseg - cut) * len(run.batches)
 
 
-class ShardSession:
-    """One process's standing sweep state for the sharded protocol.
+class SweepRun:
+    """One segmented sweep's standing state, built in one place.
 
-    Both sides of :mod:`repro.distrib` open one: the coordinator to run
-    the clean prefix pass (base loss), fingerprint the job, and assemble
-    the merged losses; each spawned worker to execute its claimed shards'
-    plan groups.  Because plan construction, the prefix pass, and group
-    execution are deterministic functions of (model weights, data,
-    knobs), every session over the same job measures bitwise-identical
-    losses — which is what makes shard merges idempotent and the final
-    matrix bitwise-equal to the single-process sweep.
+    Holds the eval plan, the mini-batches, the clean prefix cache (with
+    its cut selection) and the base loss its prefix pass yields, the
+    resolved config (cache budget and bytes, stack width, fault plan) plus
+    the derived chunk waste factor, and the fault-attempt / armed-NaN
+    state.  Every segmented execution path opens one:
+    ``SensitivityEngine.measure`` (its supervised fork workers inherit the
+    run copy-on-write) and both sides of :mod:`repro.distrib` — the
+    coordinator to fingerprint the job, assemble the merged losses and run
+    the health pass, each spawned worker to execute its claimed shards'
+    plan groups.
 
-    The session requires the segmented strategy and pins the engine's
-    active execution knobs for the lifetime of the object; do not
-    interleave with other ``measure`` calls on the same engine.
+    Plan construction, the prefix pass and group execution are
+    deterministic functions of (weights, data, config), so every run over
+    the same job measures bitwise-identical losses — which is what makes
+    shard merges idempotent.  All mutable sweep state lives here, not on
+    the engine, so several runs may share one engine and interleave.
     """
 
     def __init__(
@@ -1859,45 +1540,39 @@ class ShardSession:
         engine: SensitivityEngine,
         x: np.ndarray,
         y: np.ndarray,
-        *,
-        mode: str,
+        mode: str = "full",
         blocks: Optional[Sequence[str]] = None,
-        batch_size: int = 256,
-        symmetric_diag: bool = False,
-        eval_batch_k: int = 1,
-        cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET,
-        cache_bytes: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
+        config: Optional[SensitivityConfig] = None,
+        **overrides,
     ) -> None:
+        t0 = telemetry.monotonic()
+        cfg = (config or engine.config).with_overrides(**overrides).resolved(x)
+        mapping = engine._segment_map()
+        if mapping is None:
+            raise RuntimeError(_NO_SEGMENTS)
         self.engine = engine
+        self.config = cfg
         self.x = x
         self.y = y
-        self.batch_size = int(batch_size)
-        self.mode = mode
-        if engine._resolve_strategy("segmented") != "segmented":
-            raise RuntimeError("shard sessions require the segmented strategy")
-        pair_list = build_pair_list(engine.table.layers, mode, blocks)
-        bits = engine.table.config.bits
-        segments = engine._segments
-        layer_segments = engine._layer_segments
-        self.plan = build_eval_plan(
-            len(engine.table.layers), bits, pair_list, layer_segments,
-            len(segments), symmetric_diag, mode,
-        )
-        engine._active_cache_budget = cache_budget
-        engine._active_cache_bytes = cache_bytes
-        engine._active_eval_batch_k = max(1, int(eval_batch_k))
-        engine._active_waste_factor = auto_waste_factor(x, batch_size)
-        engine._active_fault_plan = fault_plan
-        engine._fault_attempt = 0
-        engine._poison_next_loss = False
+        self.segments, layer_segments = mapping
+        self.waste_factor = auto_waste_factor(x, cfg.batch_size)
+        self.attempt = 0  # retry ordinal the fault schedule is keyed by
+        self.poison_next_loss = False  # armed by a ``nonfinite_loss`` fault
+        table = engine.table
+        with telemetry.span("sweep.plan"):
+            self.plan = build_eval_plan(
+                len(table.layers), table.config.bits,
+                build_pair_list(table.layers, mode, blocks), layer_segments,
+                len(self.segments), cfg.symmetric_diag, mode,
+            )
+        self.time_plan = telemetry.monotonic() - t0
 
+        # Clean prefix pass: one full forward per batch, checkpointing the
+        # cuts replays start from; the final outputs give the base loss.
         engine.model.eval()
         self.n = len(x)
-        self.batches = [
-            (x[s : s + batch_size], y[s : s + batch_size])
-            for s in range(0, self.n, batch_size)
-        ]
+        bs = cfg.batch_size
+        self.batches = [(x[s : s + bs], y[s : s + bs]) for s in range(0, self.n, bs)]
         clean_freq: Counter = Counter()
         for g in self.plan.groups:
             clean_freq[g.segment] += 2 if g.mirror is not None else 1
@@ -1905,26 +1580,37 @@ class ShardSession:
                 if p.start_segment < g.segment:
                     clean_freq[p.start_segment] += 1
         self.clean = PrefixCache(
-            segments,
-            select_cuts(clean_freq, cache_budget) | {0},
-            max_bytes=cache_bytes,
+            self.segments,
+            select_cuts(clean_freq, cfg.cache_budget) | {0},
+            max_bytes=cfg.cache_bytes,
         )
         with telemetry.span("sweep.prefix"):
             base_total = 0.0
             for b, (xb, yb) in enumerate(self.batches):
                 a = xb
-                for k, seg in enumerate(segments):
+                for k, seg in enumerate(self.segments):
                     self.clean.put(b, k, a)
                     a = seg.forward(a)
                 base_total += engine.criterion.forward(a, yb) * len(xb)
-            self.base_loss = engine._check_finite(base_total / self.n)
+            self.base_loss = self.finite(base_total / self.n)
         _FORWARD_EVALS.add()
-        _SEGMENT_FORWARDS.add(len(segments) * len(self.batches))
+        _SEGMENT_FORWARDS.add(len(self.segments) * len(self.batches))
+        self.time_prefix = telemetry.monotonic() - t0 - self.time_plan
+
+    def finite(self, loss: float) -> float:
+        """``loss`` checked finite; NaN instead while a NaN fault is armed."""
+        if self.poison_next_loss:
+            # Armed by a FaultPlan ``nonfinite_loss`` fault: the very next
+            # measured loss comes out NaN, exercising the identical failure
+            # path a diverged model would.
+            self.poison_next_loss = False
+            loss = float("nan")
+        return _check_finite(loss)
 
     def fingerprint(self) -> str:
         """Plan + data + weights + batching hash every shard part must match."""
         return self.plan.fingerprint(
-            self.engine._data_fingerprint(self.x, self.y, self.batch_size)
+            self.engine._data_fingerprint(self.x, self.y, self.config.batch_size)
         )
 
     def group_indices(self, group_idx: int) -> List[int]:
@@ -1933,10 +1619,7 @@ class ShardSession:
 
     def run_group(self, group_idx: int) -> List[Tuple[int, float]]:
         """Execute one plan group, returning ``(plan_index, loss)`` pairs."""
-        results, _, _ = self.engine._execute_group(
-            self.plan, group_idx, self.clean, self.batches, self.n
-        )
-        return results
+        return self.engine._execute_group(self, group_idx)[0]
 
     def run_groups(
         self,

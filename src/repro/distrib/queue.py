@@ -37,15 +37,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..atomicio import atomic_write_json
 from ..quant.export import wall_now
-from ..robustness.faults import ENV_VAR, FaultPlan
-from ..robustness.health import HealthPolicy
+from ..robustness.faults import ENV_VAR
 from . import lease as lease_ops
 from .merge import merge_checkpoints, validate_part
 from .spool import ShardProtocolError, Spool, partition_groups
@@ -125,26 +124,21 @@ def measure_sharded(
     engine,
     x: np.ndarray,
     y: np.ndarray,
+    config=None,
     *,
-    mode: str,
+    mode: str = "full",
     blocks=None,
-    batch_size: int = 256,
-    symmetric_diag: bool = False,
-    shards: int = 2,
-    num_workers: int = 2,
-    lease_ttl: float = 30.0,
-    spool_dir: Optional[str] = None,
-    model_spec: Optional[dict] = None,
-    eval_batch_k: int = 1,
-    cache_budget: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    health: str = "off",
-    health_policy: Optional[HealthPolicy] = None,
-    progress: bool = False,
+    progress=None,
+    **overrides,
 ):
     """Run one sensitivity sweep sharded across spawned worker processes.
+
+    Every knob comes from one :class:`~repro.core.sensitivity.SensitivityConfig`
+    — ``config`` (default: the engine's) with ``overrides`` applied —
+    exactly as for ``SensitivityEngine.measure``: ``shards``,
+    ``num_workers``, ``lease_ttl``, ``spool_dir``, ``model_spec``,
+    ``max_retries``, ``fault_plan``, ``health`` and the sweep numerics.
+    A truthy ``progress`` narrates the protocol through ``telemetry.emit``.
 
     Returns the same :class:`~repro.core.sensitivity.SensitivityResult`
     as the single-process segmented sweep, with ``extras["strategy"] ==
@@ -153,63 +147,61 @@ def measure_sharded(
     shard out of retries, every worker dead with no respawn budget, or
     merged losses that do not cover the plan.
     """
-    from ..core.sensitivity import SensitivityResult, ShardSession
+    from ..core.sensitivity import SensitivityResult, SweepRun
 
+    config = (config or engine.config).with_overrides(**overrides).resolved(x)
+    model_spec = config.model_spec
     if model_spec is None or "import" not in model_spec:
         raise ValueError(
             "sharded sweeps need a model_spec with an 'import' builder "
             "(workers rebuild the model from scratch; there is no fork)"
         )
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    lease_ttl = float(lease_ttl)
+    num_workers = config.num_workers
+    max_retries = config.max_retries
+    fault_plan = config.fault_plan
+    lease_ttl = float(config.lease_ttl)
     if lease_ttl <= 0:
         raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
 
     t0 = telemetry.monotonic()
-    own_spool = spool_dir is None
-    root = Path(spool_dir) if spool_dir else Path(
+    own_spool = config.spool_dir is None
+    root = Path(config.spool_dir) if config.spool_dir else Path(
         tempfile.mkdtemp(prefix="repro-spool-")
     )
     spool = Spool(root)
     spool.create()
     spool.reap_tmp(lease_ttl)
 
-    # Serialize the world before the session touches anything: workers
+    # Serialize the world before the run touches anything: workers
     # must rebuild from bytes identical to what the coordinator measures.
     spool.write_npz(spool.data_path, {"x": np.asarray(x), "y": np.asarray(y)})
     spool.write_npz(spool.weights_path, dict(engine.model.state_dict()))
 
-    session = ShardSession(
-        engine, x, y,
-        mode=mode, blocks=blocks, batch_size=batch_size,
-        symmetric_diag=symmetric_diag, eval_batch_k=eval_batch_k,
-        cache_budget=cache_budget, cache_bytes=cache_bytes,
-    )
-    fingerprint = session.fingerprint()
-    partition = partition_groups(session.plan, shards)
+    run = SweepRun(engine, x, y, mode, blocks, config=config)
+    fingerprint = run.fingerprint()
+    partition = partition_groups(run.plan, config.shards)
     nshards = len(partition)
     shard_indices: Dict[int, Set[int]] = {
-        s: {i for gi in groups for i in session.group_indices(gi)}
+        s: {i for gi in groups for i in run.group_indices(gi)}
         for s, groups in enumerate(partition)
     }
-    config = engine.table.config
+    quant = engine.table.config
     job = {
         "model": dict(model_spec),
         "layers": [layer.name for layer in engine.table.layers],
         "quant": {
-            "bits": [int(b) for b in config.bits],
-            "scheme": str(config.scheme),
-            "act_bits": int(config.act_bits),
+            "bits": [int(b) for b in quant.bits],
+            "scheme": str(quant.scheme),
+            "act_bits": int(quant.act_bits),
         },
         "sweep": {
             "mode": mode,
             "blocks": list(blocks) if blocks else None,
-            "batch_size": int(batch_size),
-            "symmetric_diag": bool(symmetric_diag),
-            "eval_batch_k": int(eval_batch_k),
-            "cache_budget": cache_budget,
-            "cache_bytes": cache_bytes,
+            "batch_size": int(config.batch_size),
+            "symmetric_diag": bool(config.symmetric_diag),
+            "eval_batch_k": int(config.eval_batch_k),
+            "cache_budget": config.cache_budget,
+            "cache_bytes": config.cache_bytes,
         },
         "fingerprint": fingerprint,
         "lease_ttl": lease_ttl,
@@ -436,7 +428,7 @@ def measure_sharded(
 
             merged = merge_checkpoints(parts)
             missing = [
-                spec.index for spec in session.plan.specs()
+                spec.index for spec in run.plan.specs()
                 if spec.index not in merged
             ]
             if missing:
@@ -445,16 +437,13 @@ def measure_sharded(
                     f"unmeasured (first: {missing[:5]})"
                 )
 
-            matrix, single = session.assemble(merged, fault_plan)
+            matrix, single = run.assemble(merged, fault_plan)
             health_report = None
             health_extras = None
-            if health != "off":
-                policy = health_policy or HealthPolicy()
+            if config.health != "off":
                 with telemetry.span("sweep.health"):
                     health_report, health_extras = engine._health_pass(
-                        session.plan, matrix, single, session.base_loss,
-                        merged, session.clean, session.batches, session.n,
-                        policy, fault_plan,
+                        run, matrix, single, merged
                     )
     finally:
         for wid, proc, log in workers:
@@ -472,9 +461,9 @@ def measure_sharded(
         "workers": num_workers,
         "lease_ttl": lease_ttl,
         "spool": str(root),
-        "plan_groups": len(session.plan.groups),
-        "plan_evals": session.plan.num_evals,
-        "eval_batch_k": eval_batch_k,
+        "plan_groups": len(run.plan.groups),
+        "plan_evals": run.plan.num_evals,
+        "eval_batch_k": config.eval_batch_k,
         "max_retries": max_retries,
         "merged_parts": len(parts),
         "injected_fault_plan": (
@@ -486,12 +475,12 @@ def measure_sharded(
         extras["health"] = health_extras
     result = SensitivityResult(
         matrix=matrix,
-        base_loss=session.base_loss,
+        base_loss=run.base_loss,
         single_losses=single,
-        num_evals=1 + session.plan.num_evals,
+        num_evals=1 + run.plan.num_evals,
         wall_time=wall,
         mode=mode,
-        bits=tuple(session.plan.bits),
+        bits=tuple(run.plan.bits),
         extras=extras,
         health=health_report,
     )

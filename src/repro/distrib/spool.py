@@ -183,11 +183,11 @@ def rebuild_session(spool: Spool, job: dict):
     Rebuilds the model from the builder spec, loads the serialized
     weights, re-applies activation calibration (deterministic given the
     same data), rebuilds the quantized-weight table, and opens a
-    :class:`~repro.core.sensitivity.ShardSession`.  Every step is a
-    deterministic function of the spool bytes, so the session's
-    fingerprint must equal the job's — checked by the caller.
+    :class:`~repro.core.sensitivity.SweepRun`.  Every step is a
+    deterministic function of the spool bytes, so the run's fingerprint
+    must equal the job's — checked by the caller.
     """
-    from ..core.sensitivity import SensitivityEngine, ShardSession
+    from ..core.sensitivity import SensitivityEngine, SweepRun
     from ..models.registry import QuantizableLayer
     from ..quant import QuantConfig, QuantizedWeightTable
 
@@ -228,7 +228,7 @@ def rebuild_session(spool: Spool, job: dict):
     )
     engine = SensitivityEngine(model, table, strategy="segmented")
     sweep = job["sweep"]
-    session = ShardSession(
+    return SweepRun(
         engine,
         x,
         y,
@@ -240,4 +240,3 @@ def rebuild_session(spool: Spool, job: dict):
         cache_budget=sweep.get("cache_budget"),
         cache_bytes=sweep.get("cache_bytes"),
     )
-    return session

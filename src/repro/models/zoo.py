@@ -25,6 +25,13 @@ from .registry import build_model
 
 __all__ = ["TrainConfig", "train_model", "evaluate_model", "get_pretrained", "cache_dir"]
 
+#: ``get_pretrained`` outcomes: weights served from the on-disk cache, no
+#: usable cache file (absent, or a retrain was forced), and a cache file
+#: that failed to load — each of the last two costs a full training run.
+_CACHE_HIT = telemetry.counter("zoo.cache_hit")
+_CACHE_MISS = telemetry.counter("zoo.cache_miss")
+_CACHE_UNREADABLE = telemetry.counter("zoo.cache_unreadable")
+
 
 def cache_dir() -> Path:
     """Resolve the on-disk cache root (override with ``REPRO_CACHE_DIR``)."""
@@ -151,27 +158,36 @@ def get_pretrained(
     path = cache_dir() / "models" / f"{name}-c{dataset.config.num_classes}.npz"
     if path.exists() and not retrain:
         try:
-            blob = np.load(path, allow_pickle=False)
-            state = {k[6:]: blob[k] for k in blob.files if k.startswith("state/")}
-            metrics = {
-                k[8:]: float(blob[k][()])
-                for k in blob.files
-                if k.startswith("metrics/")
-            }
-            model.load_state_dict(state)
+            with telemetry.span("zoo.load", model=name):
+                with np.load(path, allow_pickle=False) as blob:
+                    state = {
+                        k[6:]: blob[k] for k in blob.files if k.startswith("state/")
+                    }
+                    metrics = {
+                        k[8:]: float(blob[k][()])
+                        for k in blob.files
+                        if k.startswith("metrics/")
+                    }
+                model.load_state_dict(state)
         except Exception as exc:
             # A truncated/corrupt cache (e.g. interrupted save) should cost
-            # a retrain, not crash every downstream experiment.
+            # a retrain, not crash every downstream experiment — but never
+            # silently: the counter shows up in every run manifest.
+            _CACHE_UNREADABLE.add()
             if verbose:
                 telemetry.emit(f"cached model {path} unreadable ({exc!r}); retraining")
         else:
+            _CACHE_HIT.add()
             model.eval()
             return model, metrics
+    else:
+        _CACHE_MISS.add()
 
     recipe = _RECIPES.get(name, TrainConfig())
     if verbose:
         telemetry.emit(f"training zoo model {name!r} (recipe: {recipe})")
-    metrics = train_model(model, dataset, recipe, verbose=verbose)
+    with telemetry.span("zoo.train", model=name):
+        metrics = train_model(model, dataset, recipe, verbose=verbose)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {f"state/{k}": v for k, v in model.state_dict().items()}
     payload.update({f"metrics/{k}": np.float64(v) for k, v in metrics.items()})

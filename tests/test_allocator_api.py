@@ -53,11 +53,6 @@ class TestSensitivityConfig:
         with pytest.raises(TypeError):
             SensitivityConfig().with_overrides(bogus=1)
 
-    def test_engine_kwargs_subset(self):
-        kwargs = SensitivityConfig(num_workers=3).engine_kwargs()
-        assert kwargs["num_workers"] == 3
-        assert "probes" not in kwargs  # HAWQ-only knob stays out
-
 
 class TestSolverConfig:
     def test_defaults(self):

@@ -13,7 +13,8 @@ from repro.core import (
     evaluate_assignments,
     setup_activation_quant,
 )
-from repro.core.sweep import EvalSpec
+from repro.core.sensitivity import SweepRun
+from repro.core.sweep import BatchChunk, EvalSpec
 from repro.models import build_model, quantizable_layers
 from repro.nn import (
     Conv2d,
@@ -262,6 +263,37 @@ class TestBatchedSweepEquivalence:
         assert (
             fast.extras["segment_forwards"] < seq.extras["segment_forwards"]
         )
+
+    @pytest.mark.parametrize("name", ["resnet_s20", "mobilenet_s", "vit_s"])
+    def test_width_one_chunk_equals_plain_replay(self, name):
+        """The merged group executor's precondition: a width-1 stacked
+        chunk reproduces the plain perturbed replay bit for bit, so
+        running width-1 chunks as plain replays changes no loss."""
+        model = build_model(name, num_classes=10)
+        model.eval()
+        layers = quantizable_layers(model, name)
+        table = QuantizedWeightTable(layers, QuantConfig(bits=(2, 4, 8)))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((12, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, size=12)
+        engine = SensitivityEngine(model, table, strategy="segmented")
+        run = SweepRun(engine, x, y, mode="full", batch_size=8)
+        bits = run.plan.bits
+        paired = [g for g in run.plan.groups if g.pairs]
+        checked = 0
+        for g in paired[:: max(1, len(paired) // 4)]:
+            for p in g.pairs[:: max(1, len(g.pairs) // 4)]:
+                # Replay from the clean cache at the earliest perturbed
+                # segment, with the anchor applied globally as in a group.
+                cut = min(g.segment, p.start_segment)
+                chunk = BatchChunk(cut=cut, specs=(p,))
+                with table.perturbed((g.i, bits[g.m])):
+                    [(_, stacked)], _ = engine._run_chunk(run, chunk, run.clean)
+                    with table.perturbed((p.j, bits[p.n])):
+                        plain, _ = engine._replay_loss(run, run.clean, cut)
+                assert stacked == plain, (name, p.index)
+                checked += 1
+        assert checked >= 4
 
     def test_invalid_eval_batch_k(self, mlp_setup):
         model, layers, table, x, y = mlp_setup

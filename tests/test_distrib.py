@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.sensitivity import SensitivityEngine, ShardSession
+from repro.core.sensitivity import SensitivityEngine, SweepRun
 from repro.core.sweep import (
     CheckpointMergeConflict,
     SweepCheckpoint,
@@ -324,7 +324,7 @@ class TestValidatePart:
 class TestShardSessionEquivalence:
     def test_partition_covers_groups_exactly_once(self):
         x, y = _data()
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepRun(_engine(), x, y, mode="diagonal", batch_size=8)
         n_groups = len(session.plan.groups)
         for shards in (1, 2, 3, n_groups + 5):
             groups = partition_groups(session.plan, shards)
@@ -340,7 +340,7 @@ class TestShardSessionEquivalence:
         x, y = _data()
         reference = _engine().measure(x, y, mode="diagonal", batch_size=8)
 
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepRun(_engine(), x, y, mode="diagonal", batch_size=8)
         parts = []
         for si, gis in enumerate(partition_groups(session.plan, 3)):
             parts.append((f"shard-{si}", session.run_groups(gis)))
@@ -355,7 +355,7 @@ class TestShardSessionEquivalence:
 
     def test_assemble_rejects_incomplete_losses(self):
         x, y = _data()
-        session = ShardSession(_engine(), x, y, mode="diagonal", batch_size=8)
+        session = SweepRun(_engine(), x, y, mode="diagonal", batch_size=8)
         groups = partition_groups(session.plan, 2)
         merged = session.run_groups(groups[0])  # shard 1 never measured
         with pytest.raises(Exception):

@@ -33,3 +33,19 @@ class TestRawWriteRule:
 
     def test_atomic_writer_module_is_exempt(self):
         assert _messages("Path(tmp).write_bytes(data)\n", "atomicio.py") == []
+
+
+class TestHotPathMarkers:
+    """Rule 3 only checks functions carrying ``@hot_path``; losing the
+    marker on the sweep's inner loop would silently switch it off."""
+
+    @pytest.mark.parametrize("name", ["_run_group", "_replay_loss", "_run_chunk"])
+    def test_sweep_inner_loop_is_marked(self, name):
+        path = lint.TARGET / "core" / "sensitivity.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = {
+            node.name: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert lint._is_hot_path(funcs[name])

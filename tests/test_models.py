@@ -125,6 +125,35 @@ class TestTrainingAndZoo:
             np.testing.assert_array_equal(p1.data, p2.data)
         assert metrics1 == metrics2
 
+    def test_zoo_cache_outcomes_are_counted(self, tmp_path, monkeypatch):
+        from repro import telemetry
+        import repro.models.zoo as zoo
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setitem(
+            zoo._RECIPES, "resnet_s20", TrainConfig(epochs=1, n_train=32, n_val=16)
+        )
+        ds = make_dataset(num_classes=3, image_size=16)
+        telemetry.disable()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            get_pretrained("resnet_s20", ds)  # miss: trains and caches
+            get_pretrained("resnet_s20", ds)  # hit
+            cached = tmp_path / "models" / "resnet_s20-c3.npz"
+            cached.write_bytes(cached.read_bytes()[:64])  # truncate
+            get_pretrained("resnet_s20", ds)  # unreadable: retrains
+            get_pretrained("resnet_s20", ds)  # the retrain re-cached it
+            snap = telemetry.counters_snapshot()
+            spans = {c["name"] for c in telemetry.span_tree().get("children", ())}
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert snap.get("zoo.cache_miss") == 1
+        assert snap.get("zoo.cache_hit") == 2
+        assert snap.get("zoo.cache_unreadable") == 1
+        assert {"zoo.load", "zoo.train"} <= spans
+
     def test_evaluate_model_perfect_on_memorized(self):
         """Sanity: accuracy formula via a constant-logit stub."""
         from repro.nn import Linear, Module
