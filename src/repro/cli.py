@@ -22,6 +22,7 @@ the table in docs/robustness.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -59,14 +60,13 @@ def _cmd_models(args) -> int:
 
 def _allocate_body(args, run) -> int:
     from .core import (
-        SensitivityConfig,
         SolverConfig,
+        build_algorithm,
         evaluate_assignment,
         setup_activation_quant,
     )
     from .data import make_dataset, sensitivity_set
     from .experiments import model_quant_config
-    from .experiments.runner import ExperimentContext
     from .models import get_pretrained
     from .quant import bops_table, bytes_to_mb, measure_macs
 
@@ -87,7 +87,7 @@ def _allocate_body(args, run) -> int:
             },
             "act_bits": config.act_bits,
         }
-    sens_config = SensitivityConfig(
+    sens_config = _sensitivity_config(
         strategy="naive" if args.naive_sweep else "auto",
         num_workers=args.workers,
         checkpoint_path=args.sweep_checkpoint,
@@ -105,10 +105,8 @@ def _allocate_body(args, run) -> int:
     # must not first cost a (possibly retrained) model load.
     model, _ = get_pretrained(args.model, dataset, verbose=True)
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
-    ctx = ExperimentContext()
-    algo = ctx.make_algorithm(
-        args.algorithm, args.model, model=model, config=config,
-        sensitivity=sens_config,
+    algo = build_algorithm(
+        args.algorithm, model, args.model, config, sensitivity=sens_config
     )
     setup_activation_quant(model, algo.layers, x_sens, bits=config.act_bits)
     emit(f"preparing {algo.name} sensitivities on {args.set_size} samples...")
@@ -212,110 +210,143 @@ def _allocate_body(args, run) -> int:
     return degraded_exit
 
 
-def _cmd_allocate(args) -> int:
-    """Run one allocation.
+class _InvalidSweepConfig(ValueError):
+    """A knob combination :class:`SensitivityConfig` rejects (exit 2)."""
 
-    Exit codes follow the repository-wide contract — the single
-    authoritative table lives in docs/robustness.md ("Exit-code
-    contract").  In brief: 0 success, 2 infeasible budget, 3 degraded
-    (fallback rung), 4 sweep failure, 5 unhealthy matrix under
-    ``--health strict``, 6 shard-protocol failure, 7 store refusal
-    (``allocate-cached --offline``), 130 interrupted.
+
+def _sensitivity_config(**knobs):
+    """Build the sweep config, typing a rejection for the exit table."""
+    from .core import SensitivityConfig
+
+    try:
+        return SensitivityConfig(**knobs)
+    except ValueError as exc:
+        raise _InvalidSweepConfig(str(exc)) from exc
+
+
+def _failure_table():
+    """``(exception, exit code, headline, hint)`` rows, first match wins.
+
+    The single place the CLI maps typed failures to the exit-code
+    contract in docs/robustness.md; ``hint(exc)`` returns an optional
+    second line.
     """
     from .core import InfeasibleBudgetError
     from .distrib import SHARD_EXIT_CODE, ShardProtocolError
     from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
+    from .store import STORE_EXIT_CODE, StoreMissError
 
+    return (
+        (InfeasibleBudgetError, 2, "infeasible budget", lambda e: (
+            f"smallest representable model: {e.min_size_bits} bits; "
+            "raise --avg-bits" if e.min_size_bits is not None else None
+        )),
+        (_InvalidSweepConfig, 2, "invalid sweep configuration", None),
+        (DeadlineExpired, 3,
+         "solver deadline expired without a feasible result", None),
+        (SweepFailure, 4, "unrecoverable sweep failure", lambda e: (
+            f"plan group {e.group} failed {e.attempts} attempts (workers, "
+            "then serial); see sweep.* counters in the manifest"
+            if e.group >= 0 else None
+        )),
+        (UnhealthyMatrixError, 5,
+         "sensitivity matrix failed integrity checks", lambda e: (
+            f"repair rung reached: {e.record.get('rung')!r}; "
+            f"{e.record.get('flagged_final')} entries still flagged "
+            "(see the health record in the run manifest)"
+            if e.record else None
+        )),
+        (ShardProtocolError, SHARD_EXIT_CODE,
+         "sharded sweep could not complete", lambda e: (
+            f"shard {e.shard}; the spool's quarantine/ and logs/ directories "
+            "attribute it, and outlive the run only with --spool DIR (a "
+            "private spool is removed on exit)" if e.shard >= 0 else None
+        )),
+        (StoreMissError, STORE_EXIT_CODE, "store cannot serve this request",
+         lambda e: "drop --offline to measure and publish, or warm the "
+         "store with a non-offline run"),
+    )
+
+
+def _run_command(args, run_name: str, run_config: dict, body) -> int:
+    """Run ``body(args, run)`` under an optional traced run.
+
+    Typed failures map to exit codes through :func:`_failure_table`;
+    an interrupt exits 130.  On success the manifest path is printed
+    and ``body``'s own code (0, or 3 for a degraded allocation) returned.
+    """
+    table = _failure_table()
     run = None
     if args.trace:
         run = telemetry.start_run(
-            f"allocate.{args.algorithm}",
-            config={
-                "model": args.model,
-                "algorithm": args.algorithm,
-                "avg_bits": args.avg_bits,
-                "set_size": args.set_size,
-                "workers": args.workers,
-                "naive_sweep": bool(args.naive_sweep),
-            },
-            manifest_dir=args.manifest_dir,
+            run_name, config=run_config, manifest_dir=args.manifest_dir
         )
     try:
-        with run if run is not None else _null_context():
-            code = _allocate_body(args, run)
-    except InfeasibleBudgetError as exc:
-        emit(f"error: infeasible budget — {exc}")
-        if exc.min_size_bits is not None:
-            emit(f"  smallest representable model: {exc.min_size_bits} bits; "
-                 "raise --avg-bits")
-        return 2
-    except DeadlineExpired as exc:
-        emit(f"error: solver deadline expired without a feasible result — {exc}")
-        return 3
-    except SweepFailure as exc:
-        emit(f"error: unrecoverable sweep failure — {exc}")
-        if exc.group >= 0:
-            emit(f"  plan group {exc.group} failed {exc.attempts} attempts "
-                 "(workers, then serial); see sweep.* counters in the manifest")
-        return 4
-    except UnhealthyMatrixError as exc:
-        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
-        if exc.record:
-            emit(f"  repair rung reached: {exc.record.get('rung')!r}; "
-                 f"{exc.record.get('flagged_final')} entries still flagged "
-                 "(see the health record in the run manifest)")
-        return 5
-    except ShardProtocolError as exc:
-        emit(f"error: sharded sweep could not complete — {exc}")
-        if exc.shard >= 0:
-            emit(f"  shard {exc.shard}; inspect the spool's quarantine/ and "
-                 "logs/ directories for attribution")
-        return SHARD_EXIT_CODE
+        with run if run is not None else contextlib.nullcontext():
+            code = body(args, run)
+    except tuple(row[0] for row in table) as exc:
+        _, exit_code, headline, hint = next(
+            row for row in table if isinstance(exc, row[0])
+        )
+        emit(f"error: {headline} — {exc}")
+        line = hint(exc) if hint is not None else None
+        if line:
+            emit(f"  {line}")
+        return exit_code
     except KeyboardInterrupt:
         # The sweep engine flushes its checkpoint in a finally-block before
-        # this propagates, so an interrupted run resumes cleanly.
-        emit("interrupted — sweep checkpoint flushed; re-run with the same "
-             "--sweep-checkpoint to resume")
+        # this propagates, so an interrupted run with one resumes cleanly.
+        if getattr(args, "sweep_checkpoint", None):
+            emit("interrupted — sweep checkpoint flushed; re-run with the "
+                 "same --sweep-checkpoint to resume")
+        else:
+            emit("interrupted")
         return 130
     if run is not None and run.path is not None:
         emit(f"run manifest: {run.path}")
     return code
 
 
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
+def _cmd_allocate(args) -> int:
+    """Run one allocation (exit codes: docs/robustness.md)."""
+    return _run_command(
+        args,
+        f"allocate.{args.algorithm}",
+        {
+            "model": args.model,
+            "algorithm": args.algorithm,
+            "avg_bits": args.avg_bits,
+            "set_size": args.set_size,
+            "workers": args.workers,
+            "naive_sweep": bool(args.naive_sweep),
+        },
+        _allocate_body,
+    )
 
 
 def _allocate_cached_body(args, run) -> int:
     from .core import (
-        SensitivityConfig,
         SolverConfig,
+        build_algorithm,
         evaluate_assignment,
         setup_activation_quant,
     )
     from .data import make_dataset, sensitivity_set
     from .experiments import model_quant_config
-    from .experiments.runner import ExperimentContext
     from .models import get_pretrained
     from .quant import bytes_to_mb
     from .store import ArtifactStore, allocate_cached
 
+    sens_config = _sensitivity_config(
+        health=args.health,
+        health_rounds=args.health_rounds,
+    )
     dataset = make_dataset()
     model, _ = get_pretrained(args.model, dataset, verbose=True)
     config = model_quant_config(args.model)
     x_sens, y_sens = sensitivity_set(dataset, size=args.set_size)
-    sens_config = SensitivityConfig(
-        health=args.health,
-        health_rounds=args.health_rounds,
-    )
-    ctx = ExperimentContext()
-    algo = ctx.make_algorithm(
-        args.algorithm, args.model, model=model, config=config,
-        sensitivity=sens_config,
+    algo = build_algorithm(
+        args.algorithm, model, args.model, config, sensitivity=sens_config
     )
     setup_activation_quant(model, algo.layers, x_sens, bits=config.act_bits)
     store = ArtifactStore(args.store)
@@ -373,47 +404,19 @@ def _cmd_allocate_cached(args) -> int:
     request under ``--offline`` (miss, or an entry quarantined after
     failing integrity verification).
     """
-    from .core import InfeasibleBudgetError
-    from .robustness import DeadlineExpired, SweepFailure, UnhealthyMatrixError
-    from .store import STORE_EXIT_CODE, StoreMissError
-
-    run = None
-    if args.trace:
-        run = telemetry.start_run(
-            f"allocate-cached.{args.algorithm}",
-            config={
-                "model": args.model,
-                "algorithm": args.algorithm,
-                "avg_bits": list(args.avg_bits),
-                "set_size": args.set_size,
-                "store": args.store,
-                "offline": bool(args.offline),
-            },
-            manifest_dir=args.manifest_dir,
-        )
-    try:
-        with run if run is not None else _null_context():
-            code = _allocate_cached_body(args, run)
-    except InfeasibleBudgetError as exc:
-        emit(f"error: infeasible budget — {exc}")
-        return 2
-    except DeadlineExpired as exc:
-        emit(f"error: solver deadline expired without a feasible result — {exc}")
-        return 3
-    except SweepFailure as exc:
-        emit(f"error: unrecoverable sweep failure — {exc}")
-        return 4
-    except UnhealthyMatrixError as exc:
-        emit(f"error: sensitivity matrix failed integrity checks — {exc}")
-        return 5
-    except StoreMissError as exc:
-        emit(f"error: store cannot serve this request — {exc}")
-        emit("  drop --offline to measure and publish, or warm the store "
-             "with a non-offline run")
-        return STORE_EXIT_CODE
-    if run is not None and run.path is not None:
-        emit(f"run manifest: {run.path}")
-    return code
+    return _run_command(
+        args,
+        f"allocate-cached.{args.algorithm}",
+        {
+            "model": args.model,
+            "algorithm": args.algorithm,
+            "avg_bits": list(args.avg_bits),
+            "set_size": args.set_size,
+            "store": args.store,
+            "offline": bool(args.offline),
+        },
+        _allocate_cached_body,
+    )
 
 
 def _cmd_store(args) -> int:
@@ -616,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spool",
         default=None,
         help="spool directory for the sharded-sweep work queue "
-        "(default: a private temp dir, removed on success)",
+        "(default: a private temp dir, removed on exit; pass one to keep it)",
     )
     p.add_argument(
         "--sweep-checkpoint",

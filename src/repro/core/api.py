@@ -1,10 +1,8 @@
 """The unified allocator API: typed configs, results, and the factory.
 
-Before this module, every :class:`~repro.core.clado.MPQAlgorithm` subclass
-interpreted its own untyped ``**kwargs`` (``HAWQ(probes=, seed=)``,
-``MPQCO(batch_size=)``, CLADO sweep options), and the CLI and
-``ExperimentContext`` each kept their own if/elif ladder for building
-algorithms.  This module is the single vocabulary both speak:
+Every :class:`~repro.core.clado.MPQAlgorithm` takes its knobs as typed
+configs, and the CLI and ``ExperimentContext`` build algorithms through
+one factory.  This module is that single vocabulary:
 
 - :class:`SensitivityConfig` — every measurement-phase knob
   (sweep execution strategy, worker fan-out, cache budget, checkpoint
@@ -66,31 +64,6 @@ class SolverConfig:
 
     def with_overrides(self, **overrides) -> "SolverConfig":
         return replace(self, **overrides)
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls, base: Optional["SolverConfig"] = None, **kwargs
-    ) -> "SolverConfig":
-        """Fold pre-redesign ``allocate(**kwargs)`` names into a config.
-
-        ``solver_method=`` becomes ``method``; recognized tuning fields map
-        onto their typed slots; anything else rides along in ``options``.
-        """
-        config = base or cls()
-        updates: Dict[str, object] = {}
-        if "solver_method" in kwargs:
-            updates["method"] = kwargs.pop("solver_method")
-        for name in (
-            "method", "time_limit", "max_nodes", "gap_tol", "assume_psd",
-            "deadline",
-        ):
-            if name in kwargs:
-                updates[name] = kwargs.pop(name)
-        if kwargs:
-            merged = dict(config.options)
-            merged.update(kwargs)
-            updates["options"] = merged
-        return config.with_overrides(**updates) if updates else config
 
 
 @dataclass

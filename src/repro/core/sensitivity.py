@@ -42,7 +42,7 @@ import hashlib
 import multiprocessing as mp
 import os
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -336,10 +336,6 @@ class SensitivityConfig:
             fault_plan=resolve_fault_plan(self.fault_plan),
             lease_ttl=DEFAULT_LEASE_TTL if self.lease_ttl is None else self.lease_ttl,
         )
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 def _check_finite(loss: float) -> float:

@@ -168,60 +168,60 @@ def measure_sharded(
     root = Path(config.spool_dir) if config.spool_dir else Path(
         tempfile.mkdtemp(prefix="repro-spool-")
     )
-    spool = Spool(root)
-    spool.create()
-    spool.reap_tmp(lease_ttl)
-
-    # Serialize the world before the run touches anything: workers
-    # must rebuild from bytes identical to what the coordinator measures.
-    spool.write_npz(spool.data_path, {"x": np.asarray(x), "y": np.asarray(y)})
-    spool.write_npz(spool.weights_path, dict(engine.model.state_dict()))
-
-    run = SweepRun(engine, x, y, mode, blocks, config=config)
-    fingerprint = run.fingerprint()
-    partition = partition_groups(run.plan, config.shards)
-    nshards = len(partition)
-    shard_indices: Dict[int, Set[int]] = {
-        s: {i for gi in groups for i in run.group_indices(gi)}
-        for s, groups in enumerate(partition)
-    }
-    quant = engine.table.config
-    job = {
-        "model": dict(model_spec),
-        "layers": [layer.name for layer in engine.table.layers],
-        "quant": {
-            "bits": [int(b) for b in quant.bits],
-            "scheme": str(quant.scheme),
-            "act_bits": int(quant.act_bits),
-        },
-        "sweep": {
-            "mode": mode,
-            "blocks": list(blocks) if blocks else None,
-            "batch_size": int(config.batch_size),
-            "symmetric_diag": bool(config.symmetric_diag),
-            "eval_batch_k": int(config.eval_batch_k),
-            "cache_budget": config.cache_budget,
-            "cache_bytes": config.cache_bytes,
-        },
-        "fingerprint": fingerprint,
-        "lease_ttl": lease_ttl,
-        "shards": {str(s): groups for s, groups in enumerate(partition)},
-        "fault_plan": (
-            json.loads(fault_plan.to_json()) if fault_plan is not None else None
-        ),
-    }
-    spool.write_job(job)
-    for s in range(nshards):
-        spool.issue_ticket(s, 0)
-        _SHARDS_ISSUED.add()
-
-    stats = {
-        "leases_expired": 0, "shards_stolen": 0, "duplicate_completions": 0,
-        "parts_quarantined": 0, "shard_retries": 0,
-        "workers_spawned": 0, "workers_respawned": 0,
-    }
     workers: List[Tuple[str, object, object]] = []
     try:
+        spool = Spool(root)
+        spool.create()
+        spool.reap_tmp(lease_ttl)
+
+        # Serialize the world before the run touches anything: workers
+        # must rebuild from bytes identical to what the coordinator measures.
+        spool.write_npz(spool.data_path, {"x": np.asarray(x), "y": np.asarray(y)})
+        spool.write_npz(spool.weights_path, dict(engine.model.state_dict()))
+
+        run = SweepRun(engine, x, y, mode, blocks, config=config)
+        fingerprint = run.fingerprint()
+        partition = partition_groups(run.plan, config.shards)
+        nshards = len(partition)
+        shard_indices: Dict[int, Set[int]] = {
+            s: {i for gi in groups for i in run.group_indices(gi)}
+            for s, groups in enumerate(partition)
+        }
+        quant = engine.table.config
+        job = {
+            "model": dict(model_spec),
+            "layers": [layer.name for layer in engine.table.layers],
+            "quant": {
+                "bits": [int(b) for b in quant.bits],
+                "scheme": str(quant.scheme),
+                "act_bits": int(quant.act_bits),
+            },
+            "sweep": {
+                "mode": mode,
+                "blocks": list(blocks) if blocks else None,
+                "batch_size": int(config.batch_size),
+                "symmetric_diag": bool(config.symmetric_diag),
+                "eval_batch_k": int(config.eval_batch_k),
+                "cache_budget": config.cache_budget,
+                "cache_bytes": config.cache_bytes,
+            },
+            "fingerprint": fingerprint,
+            "lease_ttl": lease_ttl,
+            "shards": {str(s): groups for s, groups in enumerate(partition)},
+            "fault_plan": (
+                json.loads(fault_plan.to_json()) if fault_plan is not None else None
+            ),
+        }
+        spool.write_job(job)
+        for s in range(nshards):
+            spool.issue_ticket(s, 0)
+            _SHARDS_ISSUED.add()
+
+        stats = {
+            "leases_expired": 0, "shards_stolen": 0, "duplicate_completions": 0,
+            "parts_quarantined": 0, "shard_retries": 0,
+            "workers_spawned": 0, "workers_respawned": 0,
+        }
         with telemetry.span(
             "distrib.sweep", shards=nshards, workers=num_workers
         ):
@@ -453,6 +453,10 @@ def measure_sharded(
             except OSError:
                 pass
             log.close()
+        if own_spool:
+            # The private spool holds serialized data and weights; it
+            # never outlives the call, successful or not.
+            shutil.rmtree(root, ignore_errors=True)
 
     wall = telemetry.monotonic() - t0
     extras: Dict[str, object] = {
@@ -460,7 +464,7 @@ def measure_sharded(
         "shards": nshards,
         "workers": num_workers,
         "lease_ttl": lease_ttl,
-        "spool": str(root),
+        "spool": "" if own_spool else str(root),
         "plan_groups": len(run.plan.groups),
         "plan_evals": run.plan.num_evals,
         "eval_batch_k": config.eval_batch_k,
@@ -484,7 +488,4 @@ def measure_sharded(
         extras=extras,
         health=health_report,
     )
-    if own_spool:
-        shutil.rmtree(root, ignore_errors=True)
-        extras["spool"] = ""
     return result

@@ -1,25 +1,24 @@
 """Experiment orchestration with on-disk caching.
 
-Sensitivity sweeps are the expensive part of every figure/table, and they
-are pure functions of ``(model, sensitivity set, bit candidates, scheme,
-mode)``.  ``ExperimentContext`` caches them (and the trained models) under
-``.cache/`` so that re-running a benchmark re-uses everything that has not
-changed — the same "measure once, re-solve for every budget" workflow the
-paper highlights for sensitivity-based methods.
+Sensitivity sweeps are the expensive part of every figure/table.
+``ExperimentContext`` serves them from the content-addressed Ĝ store
+under ``.cache/ghat`` (trained models cache under ``.cache/models``), so
+re-running a benchmark re-uses every measurement whose searched weights,
+sensitivity set and quantizer config have not changed — the same
+"measure once, re-solve for every budget" workflow the paper highlights
+for sensitivity-based methods.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..atomicio import atomic_write_json, atomic_write_npz
+from ..atomicio import atomic_write_json
 from ..core import (
-    CLADO,
     SensitivityConfig,
     SensitivityResult,
     build_algorithm,
@@ -30,6 +29,7 @@ from ..core.clado import MPQAlgorithm, MPQAssignment
 from ..data import SyntheticImageNet, make_dataset, sensitivity_set
 from ..models import cache_dir, get_pretrained, quantizable_layers
 from ..quant import QuantConfig, budget_for_average_bits
+from ..store import ArtifactStore, allocate_cached
 from .config import Scale, get_scale, model_quant_config
 
 __all__ = ["ExperimentContext"]
@@ -113,34 +113,7 @@ class ExperimentContext:
             kind, model, model_name, config, sensitivity=sensitivity
         )
 
-    # -- sensitivity caching -----------------------------------------------------------
-    def _sensitivity_cache_path(
-        self,
-        model_name: str,
-        config: QuantConfig,
-        mode: str,
-        set_size: int,
-        replicate: int,
-    ) -> Path:
-        key = json.dumps(
-            {
-                "model": model_name,
-                "bits": list(config.bits),
-                "scheme": config.scheme,
-                "act_bits": config.act_bits,
-                "mode": mode,
-                "set_size": set_size,
-                "replicate": replicate,
-                "dataset_seed": self.dataset.config.seed,
-                "classes": self.dataset.config.num_classes,
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        root = cache_dir() / "sensitivity"
-        root.mkdir(parents=True, exist_ok=True)
-        return root / f"{model_name}-{mode}-{set_size}-r{replicate}-{digest}.npz"
-
+    # -- sensitivity ------------------------------------------------------------------
     def measured_sensitivity(
         self,
         model_name: str,
@@ -148,46 +121,25 @@ class ExperimentContext:
         set_size: Optional[int] = None,
         replicate: int = 0,
         config: Optional[QuantConfig] = None,
-        algorithm: Optional[CLADO] = None,
     ) -> SensitivityResult:
-        """Load a cached sensitivity matrix or measure and cache it."""
+        """Ĝ for one model and sensitivity set, served from the store.
+
+        Goes through :func:`repro.store.allocate_cached` on the shared
+        ``.cache/ghat`` store, so the entry is addressed by the searched
+        weights, the sensitivity set and the quantizer config: an edited
+        or retrained model re-measures, a corrupt entry is quarantined
+        and re-measured, and an identical request is a hit.
+        """
         config = config or model_quant_config(model_name)
-        set_size = set_size or self.scale.sensitivity_set_size
-        path = self._sensitivity_cache_path(
-            model_name, config, mode, set_size, replicate
-        )
-        if path.exists():
-            blob = np.load(path)
-            return SensitivityResult(
-                matrix=blob["matrix"],
-                base_loss=float(blob["base_loss"][()]),
-                single_losses=blob["single_losses"],
-                num_evals=int(blob["num_evals"][()]),
-                wall_time=float(blob["wall_time"][()]),
-                mode=mode,
-                bits=tuple(int(b) for b in blob["bits"]),
-            )
-        algo = algorithm or self.make_algorithm(
+        algo = self.make_algorithm(
             {"full": "clado", "diagonal": "clado_star", "block": "clado_block"}[mode],
             model_name,
             config=config,
         )
         x, y = self.sensitivity_data(set_size, replicate)
         self.attach_activation_quant(model_name, algo.layers, x, config)
-        algo.prepare(x, y)
-        result = algo.raw
-        atomic_write_npz(
-            path,
-            {
-                "matrix": result.matrix,
-                "base_loss": np.float64(result.base_loss),
-                "single_losses": result.single_losses,
-                "num_evals": np.int64(result.num_evals),
-                "wall_time": np.float64(result.wall_time),
-                "bits": np.asarray(result.bits, dtype=np.int64),
-            },
-        )
-        return result
+        allocate_cached(algo, x, y, [], ArtifactStore(cache_dir() / "ghat"))
+        return algo.raw
 
     # -- activation quantization --------------------------------------------------------
     def attach_activation_quant(

@@ -1,4 +1,4 @@
-"""Unified allocator API: typed configs, AllocationResult, legacy shims."""
+"""Unified allocator API: typed configs, AllocationResult, the factory."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     ALGORITHM_KINDS,
     CLADO,
-    HAWQ,
     AllocationResult,
     InfeasibleBudgetError,
     SensitivityConfig,
@@ -59,14 +58,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.method == "auto"
         assert cfg.time_limit == 20.0
-
-    def test_from_legacy_kwargs(self):
-        cfg = SolverConfig.from_legacy_kwargs(
-            solver_method="bb", time_limit=3.0, mystery_knob=7
-        )
-        assert cfg.method == "bb"
-        assert cfg.time_limit == 3.0
-        assert cfg.options["mystery_knob"] == 7
 
     def test_with_overrides(self):
         cfg = SolverConfig().with_overrides(max_nodes=5)
@@ -158,22 +149,6 @@ class TestAllocationResult:
 
 
 class TestLegacyShims:
-    def test_allocate_time_limit_kwarg_warns_but_works(self, small_setup):
-        model, x, y = small_setup
-        algo = build_algorithm("clado_star", model, "resnet_s20", CFG)
-        algo.prepare(x, y)
-        budget = int(algo.layer_sizes().sum()) * 4
-        with pytest.warns(DeprecationWarning):
-            res = algo.allocate(budget, time_limit=5.0)
-        assert isinstance(res, AllocationResult)
-
-    def test_hawq_probes_ctor_kwarg_warns(self, small_setup):
-        model, _, _ = small_setup
-        with pytest.warns(DeprecationWarning):
-            algo = HAWQ(model, "resnet_s20", CFG, probes=2)
-        assert algo.sensitivity_config.probes == 2
-        assert algo.probes == 2
-
     def test_prepare_unknown_kwarg_rejected(self, small_setup):
         model, x, y = small_setup
         algo = build_algorithm("clado_star", model, "resnet_s20", CFG)

@@ -49,3 +49,59 @@ class TestCommands:
         )
         assert main(["pretrain", "--models", "resnet_s20"]) == 0
         assert "val top-1" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    def test_rejected_sweep_config_exits_2_before_model_load(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.models
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("model loaded before the config check")
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(repro.models, "get_pretrained", no_load)
+        code = main([
+            "allocate", "--model", "resnet_s20", "--shards", "2",
+            "--sweep-checkpoint", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: invalid sweep configuration — ")
+        assert "checkpoint_path" in out
+        assert "Traceback" not in out
+
+    @pytest.mark.parametrize("command, body", [
+        ("allocate", "_allocate_body"),
+        ("allocate-cached", "_allocate_cached_body"),
+    ])
+    def test_both_commands_share_the_exit_code_table(
+        self, tmp_path, monkeypatch, capsys, command, body
+    ):
+        import repro.cli as cli
+        from repro.core import InfeasibleBudgetError
+        from repro.distrib import ShardProtocolError
+        from repro.robustness import SweepFailure, UnhealthyMatrixError
+        from repro.store import StoreMissError
+
+        argv = [command, "--model", "resnet_s20"]
+        if command == "allocate-cached":
+            argv += ["--store", str(tmp_path / "store")]
+        cases = [
+            (InfeasibleBudgetError("too small", budget_bits=1), 2),
+            (SweepFailure("lost"), 4),
+            (UnhealthyMatrixError("bad", {}), 5),
+            (ShardProtocolError("lost", shard=0), 6),
+            (StoreMissError("miss", reason="miss", key="k"), 7),
+            (KeyboardInterrupt(), 130),
+        ]
+        for exc, expected in cases:
+            def raise_it(args, run, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, body, raise_it)
+            assert main(argv) == expected
+        out = capsys.readouterr().out
+        # allocate-cached has no --sweep-checkpoint to resume from.
+        assert out.rstrip().endswith("interrupted")

@@ -469,3 +469,26 @@ class TestRetryExhaustion:
                 fault_plan=plan,
             )
         assert info.value.shard == 0
+
+
+class TestPrivateSpool:
+    def test_private_spool_removed_when_the_sweep_raises(
+        self, tmp_path, monkeypatch
+    ):
+        # The private spool holds the serialized data and weights; a
+        # failed call must not leave it behind in the temp directory.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        x, y = _data()
+        with pytest.raises(ValueError):
+            measure_sharded(
+                _engine(),
+                x,
+                y,
+                mode="diagonal",
+                batch_size=8,
+                shards=0,
+                model_spec=_model_spec(),
+            )
+        assert list(tmp_path.iterdir()) == []

@@ -106,13 +106,31 @@ class TestExperimentContext:
         assert r1.bits == r2.bits
 
     def test_sensitivity_cache_key_distinguishes_replicates(self, ctx):
-        p1 = ctx._sensitivity_cache_path(
-            "resnet_s20", model_quant_config("resnet_s20"), "full", 8, 0
-        )
-        p2 = ctx._sensitivity_cache_path(
-            "resnet_s20", model_quant_config("resnet_s20"), "full", 8, 1
-        )
-        assert p1 != p2
+        from repro.models import cache_dir
+        from repro.store import ArtifactStore
+
+        ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8, replicate=0)
+        ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8, replicate=1)
+        assert len(ArtifactStore(cache_dir() / "ghat").entries()) == 2
+
+    def test_sensitivity_remeasured_after_weight_edit(self, ctx):
+        from repro.models import quantizable_layers
+
+        before = ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        layer = quantizable_layers(ctx.model("resnet_s20"), "resnet_s20")[0]
+        layer.weight.data[(0,) * layer.weight.data.ndim] += 0.5
+        after = ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        assert not np.array_equal(before.matrix, after.matrix)
+
+    def test_repeat_sensitivity_is_a_store_hit(self, ctx, tmp_path):
+        from repro import telemetry
+
+        ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+        with telemetry.start_run("test", manifest_dir=tmp_path) as run:
+            ctx.measured_sensitivity("resnet_s20", "diagonal", set_size=8)
+            doc = run.document()
+        assert doc["counters"].get("store.hits", 0) >= 1
+        assert doc["counters"].get("sensitivity.forward_evals", 0) == 0
 
     def test_result_save_load(self, ctx):
         assert ctx.load_result("nothing") is None
